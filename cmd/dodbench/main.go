@@ -10,6 +10,7 @@
 //	dodbench -json - -cpuprofile cpu.pprof
 //	dodbench -parcheck -parcheck-min 2  # gate: parallel kernel >= 2x sequential
 //	dodbench -servecheck -servecheck-min 2  # gate: fast wire path >= 2x legacy
+//	dodbench -servecheck -servecheck-max-rpcs 20  # gate: steady-state sharded support RPCs per 1k
 //
 // Larger -segment-n / -base-n values reduce the laptop-scale artifacts
 // discussed in EXPERIMENTS.md at the price of longer runs.
@@ -77,10 +78,11 @@ func main() {
 	parCheck := flag.Bool("parcheck", false, "benchmark the parallel Cell-Based kernel against the sequential one at GOMAXPROCS workers, verify bit-identity, and exit nonzero if the speedup ratio is below -parcheck-min")
 	parCheckMin := flag.Float64("parcheck-min", 0, "minimum parallel/sequential throughput ratio for -parcheck")
 	parCheckN := flag.Int("parcheck-n", 8000, "dataset size for -parcheck")
-	serveCheck := flag.Bool("servecheck", false, "benchmark the fast NDJSON serving wire path against the legacy one over loopback HTTP, verify the two answer byte-identical streams, and exit nonzero below -servecheck-min or above -servecheck-allocs")
+	serveCheck := flag.Bool("servecheck", false, "benchmark the fast NDJSON serving wire path against the legacy one over loopback HTTP on the single-process tier and on the sharded tier with an evicting window, verify each pair answers byte-identical streams, and exit nonzero below -servecheck-min, above -servecheck-allocs or above -servecheck-max-rpcs")
 	serveCheckMin := flag.Float64("servecheck-min", 0, "minimum fast/legacy ingest throughput ratio for -servecheck")
 	serveCheckAllocs := flag.Float64("servecheck-allocs", 0, "maximum whole-process allocations per ingested line for -servecheck (0 disables)")
 	serveCheckN := flag.Int("servecheck-n", 6000, "dataset size for -servecheck")
+	serveCheckRPCs := flag.Float64("servecheck-max-rpcs", 0, "maximum steady-state support RPCs per 1000 ingested lines on -servecheck's sharded evicting cell (0 disables)")
 	graphCheck := flag.Bool("graphcheck", false, "verify the Prox-Graph tactic answers byte-identically to BruteForce on fixed seeds (low- and high-dimensional, sequential and tiled) and exit nonzero on the first divergence")
 	graphCheckN := flag.Int("graphcheck-n", 2500, "dataset size for -graphcheck")
 	approx := flag.Bool("approx", false, "allow approximate detector candidates (e.g. Sens-Sample) in figure runs")
@@ -127,7 +129,7 @@ func main() {
 	}
 
 	if *serveCheck {
-		if err := runServeCheck(*serveCheckN, *serveCheckMin, *serveCheckAllocs); err != nil {
+		if err := runServeCheck(*serveCheckN, *serveCheckMin, *serveCheckAllocs, *serveCheckRPCs); err != nil {
 			fail(err)
 		}
 		return

@@ -152,3 +152,27 @@ func TestMeasureHighDim(t *testing.T) {
 			sec.Planner.DistComps, sec.Planner.NestedLoopComps, sec.Planner.KDTreeComps)
 	}
 }
+
+// TestMeasureServe runs the serve section at a small size: every (tier,
+// window, wiring) cell is recorded, the evicting cells evict, and each
+// fast/legacy pair answers byte-identical streams.
+func TestMeasureServe(t *testing.T) {
+	sec, err := measureServe(benchRunConfig{points: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sec.ResponsesMatch {
+		t.Fatal("fast and legacy wirings answered different streams")
+	}
+	if len(sec.Records) != 8 {
+		t.Fatalf("%d records, want 8", len(sec.Records))
+	}
+	for _, r := range sec.Records {
+		if r.Evicting != (r.Capacity <= 2000) || r.Lines == 0 || r.IngestPtsPerSec <= 0 {
+			t.Errorf("record shape: %+v", r)
+		}
+		if r.Tier == "sharded" && r.Mode == "fast" && r.Evicting && r.SupportRPCsPer1k > 20 {
+			t.Errorf("evicting run protocol: %.1f support RPCs per 1k lines", r.SupportRPCsPer1k)
+		}
+	}
+}

@@ -394,3 +394,60 @@ func TestInvalidParamsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestCellBasedNarrowPartition is the 2-D repro of cells narrowed below
+// r/(2√d): a bounding box that is not a multiple of the cell width used to
+// stretch the cells' count and shrink their width, so the L2 ring missed
+// the pair 4.99 apart and flagged all four points.
+func TestCellBasedNarrowPartition(t *testing.T) {
+	pts := []geom.Point{
+		{ID: 1, Coords: []float64{1.59, 0}},
+		{ID: 2, Coords: []float64{6.58, 0}},
+		{ID: 3, Coords: []float64{0, 100}},
+		{ID: 4, Coords: []float64{15.91, 100}},
+	}
+	p := Params{R: 5, K: 1}
+	want := []uint64{3, 4}
+	for _, kind := range []Kind{BruteForce, CellBased, CellBasedL2} {
+		if got := sortedIDs(New(kind, 0).Detect(pts, nil, p).OutlierIDs); !equalIDs(got, want) {
+			t.Errorf("%v: outliers %v, want %v", kind, got, want)
+		}
+	}
+}
+
+// TestCellBasedSmallPartitionsMatchBruteForce draws many small partitions
+// with arbitrary bounding boxes, where the extent is rarely a multiple of
+// the cell width, and holds both Cell-Based kernels to BruteForce.
+func TestCellBasedSmallPartitionsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		dim := 1 + rng.Intn(3)
+		r := 0.5 + rng.Float64()*5
+		span := r * (0.5 + rng.Float64()*6)
+		n := 2 + rng.Intn(30)
+		core := make([]geom.Point, n)
+		for i := range core {
+			c := make([]float64, dim)
+			for d := range c {
+				c[d] = rng.Float64() * span
+			}
+			core[i] = geom.Point{ID: uint64(i), Coords: c}
+		}
+		var support []geom.Point
+		for i := 0; i < rng.Intn(5); i++ {
+			c := make([]float64, dim)
+			for d := range c {
+				c[d] = rng.Float64()*span*1.5 - span/4
+			}
+			support = append(support, geom.Point{ID: uint64(1000 + i), Coords: c})
+		}
+		p := Params{R: r, K: 1 + rng.Intn(4)}
+		want := sortedIDs(New(BruteForce, 0).Detect(core, support, p).OutlierIDs)
+		for _, kind := range []Kind{CellBased, CellBasedL2} {
+			if got := sortedIDs(New(kind, 0).Detect(core, support, p).OutlierIDs); !equalIDs(got, want) {
+				t.Fatalf("trial %d (d=%d r=%g k=%d n=%d): %v outliers %v, BruteForce %v",
+					trial, dim, r, p.K, n, kind, got, want)
+			}
+		}
+	}
+}

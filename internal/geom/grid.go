@@ -42,14 +42,18 @@ func NewGrid(domain Rect, dims []int) *Grid {
 	return &Grid{Domain: domain.Clone(), Dims: clamped, width: width, total: total}
 }
 
-// NewGridByWidth builds a grid whose cells are at most `width` wide in every
-// dimension (the Cell-Based detector's r/(2√d) layout). The domain is
-// covered exactly; the last cell in each dimension may be narrower in
-// effect, but for indexing all cells have equal width.
+// NewGridByWidth builds a grid whose cells are exactly `width` wide in every
+// dimension of positive extent (the Cell-Based detector's r/(2√d) layout).
+// The cell count is rounded up to cover the domain, and the domain's upper
+// bound is extended to Min + n·width so the cells keep the requested width:
+// spreading the extent over the rounded-up count would narrow them, and the
+// ⌈2√d⌉-cell L2 ring would then miss neighbours up to r away. A dimension
+// of zero extent collapses to one cell, as in NewGrid.
 func NewGridByWidth(domain Rect, width float64) *Grid {
 	if width <= 0 {
 		panic("geom: NewGridByWidth requires width > 0")
 	}
+	domain = domain.Clone()
 	dims := make([]int, domain.Dim())
 	for i := range dims {
 		extent := domain.Max[i] - domain.Min[i]
@@ -61,8 +65,17 @@ func NewGridByWidth(domain Rect, width float64) *Grid {
 			n = 1
 		}
 		dims[i] = n
+		if extent > 0 {
+			domain.Max[i] = domain.Min[i] + float64(n)*width
+		}
 	}
-	return NewGrid(domain, dims)
+	g := NewGrid(domain, dims)
+	for i := range g.width {
+		if domain.Max[i] > domain.Min[i] {
+			g.width[i] = width
+		}
+	}
+	return g
 }
 
 // NumCells returns the total number of cells.

@@ -136,3 +136,28 @@ func TestGridPanicsOnBadDims(t *testing.T) {
 	}()
 	NewGrid(r2(0, 0, 1, 1), []int{0, 2})
 }
+
+// TestGridByWidthKeepsWidth pins NewGridByWidth's contract: cells are
+// exactly the requested width even when the extent is not a multiple of
+// it, and the grid still covers the whole domain.
+func TestGridByWidthKeepsWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		w := 0.1 + rng.Float64()*3
+		lo0, lo1 := rng.Float64()*10-5, rng.Float64()*10-5
+		dom := r2(lo0, lo1, lo0+rng.Float64()*20, lo1+rng.Float64()*20)
+		g := NewGridByWidth(dom, w)
+		for d := 0; d < 2; d++ {
+			if g.CellWidth(d) != w {
+				t.Fatalf("%v width %g: dim %d cell width %g", dom, w, d, g.CellWidth(d))
+			}
+			if g.Domain.Max[d] < dom.Max[d] {
+				t.Fatalf("%v width %g: grid stops at %g before the domain's %g", dom, w, g.Domain.Max[d], dom.Max[d])
+			}
+		}
+	}
+	flat := NewGridByWidth(r2(1, 2, 1, 7), 2)
+	if flat.Dims[0] != 1 || flat.Dims[1] != 3 || flat.Domain.Max[1] != 8 {
+		t.Fatalf("zero-extent grid: dims %v domain %v", flat.Dims, flat.Domain)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"dod/internal/errs"
@@ -12,134 +13,169 @@ import (
 	"dod/internal/httpapi"
 	"dod/internal/index"
 	"dod/internal/retry"
+	"dod/internal/stream"
 )
 
-// Coalesced ingest. The per-point protocol costs one shard round trip per
-// point plus one support round trip per (point, peer). This path cuts a
-// batch into SEGMENTS — maximal runs of admissible points with no eviction
-// due between them — and settles each segment in two RPC waves:
+// Run ingest (DESIGN §8). The per-point protocol costs one shard round
+// trip per point and per eviction, plus support round trips per (point,
+// peer). This path settles an ingest batch as RUNS — the batch's
+// admissions and the capacity and TTL evictions they cause, in global seq
+// order — each in two waves of one RPC per shard, the calls of a wave
+// concurrent:
 //
-//  1. ONE multi-probe /v1/support (delta +1) per peer shard carries every
-//     segment point's foreign cells for that peer. No segment point has
-//     been admitted anywhere yet, so the returned per-probe counts are the
-//     exact pre-segment foreign neighbor counts, and the applied +1s are
-//     exactly the deltas the per-point protocol would have applied.
-//  2. ONE /v1/shard/ingest_batch per owning shard admits its points with
-//     those counts attached, plus the segment-internal cross-shard pairs
-//     the probes could not see (computed right here from the points in
-//     hand, with the index's own acceptance rule).
+//  1. A read-only run probe (/v1/support): each shard returns its victims'
+//     coordinates and, for each admission owned elsewhere whose L2
+//     neighbourhood touches its cells, how many of its pre-run residents
+//     neighbour it and are not evicted before it. With the run's own
+//     earlier cross-shard admissions (the pairwise pass below, with the
+//     index's acceptance rule) that is each admission's exact foreign
+//     neighbour count at its position.
+//  2. One seq-ordered script per shard (/v1/shard/ingest_batch): its own
+//     admissions (with foreign counts) and evictions, plus a +1 or -1
+//     support entry for every foreign admission or victim whose
+//     neighbourhood touches its cells, applied under one lock.
 //
-// The verdict stream is byte-identical to the per-point protocol's outside
-// failure modes: within a segment neighbor counts only grow, so folding a
-// point's later-arriving +1s after the run crosses K exactly when the
-// interleaved order did. Under terminal shard failures the coalesced path
-// may leak +1s for points that then fail admission — the same class of
-// partial-application the per-point protocol already accepts when a
-// support call succeeds and the admission after it fails.
+// A run is cut only where the next victim was admitted earlier in the same
+// run (batches longer than the capacity), so no admission of a run is also
+// its victim. Failure: a failed probe errors the run's lines and changes
+// nothing; a shard applies its script entirely or not at all, but the
+// shards of a run are not atomic together — a shard whose script fails
+// after retries errors its admissions and keeps its victims, while the
+// ±1s others applied for its ops stay (the partial-application class of
+// the per-point protocol, ROADMAP item 4).
 
-// segPoint is one admission staged in the current segment.
-type segPoint struct {
-	pt        geom.Point
-	line      int // index into the batch / output slice
-	cell      []int64
-	owner     string
-	evictions int // evictions charged to this line before staging
+// runOp is one staged op of a run, in global order.
+type runOp struct {
+	evict bool
+	line  int        // the batch line the op is charged to
+	pt    geom.Point // admissions; a victim's coordinates arrive in wave one
+	id    uint64
+	cell  []int64
+	owner string
+	seq   uint64 // admissions
 }
 
-// ingestCoalescedLocked runs one ingest batch through the coalesced
-// protocol. Callers hold rt.mu.
-func (rt *Router) ingestCoalescedLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []verdictLine) {
-	var (
-		seg     []segPoint
-		pending = map[uint64]struct{}{}
-		segIdx  int
-	)
-	flush := func() {
-		if len(seg) == 0 {
-			return
+// peerCells is one peer shard's share of a point's L2 neighbourhood.
+type peerCells struct {
+	owner string
+	cells [][]int64
+}
+
+// runStage is the run being staged: its ops and the resident-set changes
+// they make, none of them committed to the router's window yet.
+type runStage struct {
+	ops    []runOp
+	gone   map[uint64]bool // staged victims
+	added  map[uint64]bool // staged admissions
+	cursor int             // next FIFO slot an eviction would take
+	admits int
+}
+
+func (st *runStage) reset(head int) {
+	st.ops = st.ops[:0]
+	clear(st.gone)
+	clear(st.added)
+	st.cursor = head
+	st.admits = 0
+}
+
+// resident reports whether id is in the window as staged so far.
+func (st *runStage) resident(rt *Router, id uint64) bool {
+	if st.added[id] {
+		return true
+	}
+	_, ok := rt.residents[id]
+	return ok && !st.gone[id]
+}
+
+// live is the staged window size.
+func (st *runStage) live(rt *Router) int { return len(rt.residents) - len(st.gone) + st.admits }
+
+// head returns the next committed resident in FIFO order, skipping ghost
+// slots (residents a forced drain purged) and staged victims; ok is false
+// when the committed FIFO is exhausted.
+func (st *runStage) head(rt *Router) (id uint64, res resident, ok bool) {
+	for ; st.cursor < len(rt.fifo); st.cursor++ {
+		id = rt.fifo[st.cursor]
+		if res, ok = rt.residents[id]; ok && !st.gone[id] {
+			return id, res, true
 		}
-		rt.flushSegmentLocked(ctx, topo, now, reqID, segIdx, seg, out)
-		segIdx++
-		seg = seg[:0]
-		clear(pending)
 	}
-	horizonNs := int64(0)
-	if rt.cfg.TTL > 0 {
-		horizonNs = now.Add(-rt.cfg.TTL).UnixNano()
+	return 0, resident{}, false
+}
+
+// evict stages the FIFO head as a victim charged to line.
+func (st *runStage) evict(topo *Topology, line int, id uint64, res resident) {
+	st.ops = append(st.ops, runOp{evict: true, line: line, id: id, cell: res.cell, owner: topo.Owner(res.cell)})
+	st.gone[id] = true
+	st.cursor++
+}
+
+// ingestRunsLocked runs one ingest batch through the run protocol. It walks
+// the batch exactly as the single-process window does — dimension check,
+// duplicate check against the staged window, capacity evictions, TTL
+// evictions, admission — staging ops instead of applying them. Callers
+// hold rt.mu.
+func (rt *Router) ingestRunsLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, items []httpapi.BatchItem, out []verdictLine) {
+	st := &runStage{gone: map[uint64]bool{}, added: map[uint64]bool{}, cursor: rt.head}
+	evicted := make([]int, len(items)) // evictions applied for each line
+	runs := 0
+	settle := func() {
+		if len(st.ops) > 0 {
+			rt.settleRunLocked(ctx, topo, now, fmt.Sprintf("%s|run%d", reqID, runs), st, evicted, out)
+			runs++
+		}
+		st.reset(rt.head)
 	}
-	// ttlDue reports whether the committed FIFO head has aged out. Staged
-	// points all arrive "now" and can never be due within their own batch.
-	ttlDue := func() bool {
-		return rt.cfg.TTL > 0 && rt.head < len(rt.fifo) &&
-			rt.residents[rt.fifo[rt.head]].arrivedNs < horizonNs
+	horizonNs := now.Add(-rt.cfg.TTL).UnixNano()
+	lineErr := func(i int, id uint64, err error) {
+		out[i] = verdictLine{ID: id, Error: err.Error()}
+		rt.met.lineErrors.Inc()
 	}
 	for i, it := range items {
 		if it.Err != nil {
-			out[i] = verdictLine{ID: it.Pt.ID, Error: it.Err.Error()}
-			rt.met.lineErrors.Inc()
+			lineErr(i, it.Pt.ID, it.Err)
 			continue
 		}
 		rt.met.ingestLines.Inc()
 		pt := it.Pt
 		if pt.Dim() != rt.cfg.Dim {
-			err := &errs.DimMismatchError{ID: pt.ID, Got: pt.Dim(), Want: rt.cfg.Dim}
-			out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-			rt.met.lineErrors.Inc()
+			lineErr(i, pt.ID, &errs.DimMismatchError{ID: pt.ID, Got: pt.Dim(), Want: rt.cfg.Dim})
 			continue
 		}
-		_, dupResident := rt.residents[pt.ID]
-		_, dupPending := pending[pt.ID]
-		if dupResident || dupPending {
-			err := &errs.DuplicateIDError{ID: pt.ID}
-			out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-			rt.met.lineErrors.Inc()
+		if st.resident(rt, pt.ID) {
+			lineErr(i, pt.ID, &errs.DuplicateIDError{ID: pt.ID})
 			continue
 		}
-		// An eviction due before this point ends the segment: the staged run
-		// commits (entering rt.residents), then the per-point eviction
-		// discipline runs with this line's key, exactly as processLocked
-		// orders it.
-		evictions := 0
-		evictFailed := false
-		if rt.cfg.Capacity > 0 && len(rt.residents)+len(seg) >= rt.cfg.Capacity {
-			flush()
-			lineKey := fmt.Sprintf("%s|%d", reqID, i)
-			for len(rt.residents) >= rt.cfg.Capacity {
-				evicted, err := rt.evictHeadLocked(ctx, topo, lineKey)
-				if err != nil {
-					out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-					rt.met.lineErrors.Inc()
-					evictFailed = true
-					break
-				}
-				if evicted {
-					evictions++
-				}
+		for rt.cfg.Capacity > 0 && st.live(rt) >= rt.cfg.Capacity {
+			id, res, ok := st.head(rt)
+			if !ok {
+				// The next victim was admitted earlier in this run: settle
+				// the run so far and keep evicting in a fresh one.
+				settle()
+				continue
 			}
+			st.evict(topo, i, id, res)
 		}
-		if !evictFailed && ttlDue() {
-			flush()
-			lineKey := fmt.Sprintf("%s|%d", reqID, i)
-			for ttlDue() {
-				evicted, err := rt.evictHeadLocked(ctx, topo, lineKey)
-				if err != nil {
-					out[i] = verdictLine{ID: pt.ID, Error: err.Error()}
-					rt.met.lineErrors.Inc()
-					evictFailed = true
-					break
-				}
-				if evicted {
-					evictions++
-				}
+		for rt.cfg.TTL > 0 {
+			id, res, ok := st.head(rt)
+			if !ok || res.arrivedNs >= horizonNs {
+				break // staged points arrive now and are never due in their own batch
 			}
+			st.evict(topo, i, id, res)
 		}
-		if evictFailed {
+		if st.resident(rt, pt.ID) {
+			// Only after a failed settle: a victim with this ID stayed.
+			lineErr(i, pt.ID, &errs.DuplicateIDError{ID: pt.ID})
 			continue
 		}
-		seg = append(seg, segPoint{pt: pt, line: i, evictions: evictions})
-		pending[pt.ID] = struct{}{}
+		cell := topo.CellOf(pt.Coords)
+		st.ops = append(st.ops, runOp{line: i, pt: pt, id: pt.ID, cell: cell, owner: topo.Owner(cell),
+			seq: rt.seq + uint64(st.admits) + 1})
+		st.added[pt.ID] = true
+		st.admits++
 	}
-	flush()
+	settle()
 }
 
 // cellKey renders a cell coordinate vector into scratch for map lookups.
@@ -151,212 +187,255 @@ func cellKey(scratch []byte, c []int64) []byte {
 	return scratch
 }
 
-// flushSegmentLocked settles one staged segment: phase one probes every
-// peer once, the pairwise pass counts segment-internal cross-shard
-// neighbors, phase two admits every owner's run in one RPC, and the
-// successes commit to the router's window bookkeeping in arrival order.
-// Callers hold rt.mu.
-func (rt *Router) flushSegmentLocked(ctx context.Context, topo *Topology, now time.Time, reqID string, segIdx int, seg []segPoint, out []verdictLine) {
-	n := len(seg)
-	baseSeq := rt.seq
-	type peerProbes struct {
-		probes []SupportProbe
-		segIxs []int
-	}
-	perPeer := map[string]*peerProbes{}
-	foreign := make([]int, n)
-	failed := make([]bool, n)
-	for j := range seg {
-		sp := &seg[j]
-		sp.cell = topo.CellOf(sp.pt.Coords)
-		sp.owner = topo.Owner(sp.cell)
-		var cellsByPeer map[string][][]int64
-		for radius := 0; radius <= rt.l2; radius++ {
-			index.RingCells(sp.cell, radius, func(c []int64) {
-				o := topo.Owner(c)
-				if o == sp.owner {
-					return // the owning shard splits its own cells locally
-				}
-				if cellsByPeer == nil {
-					cellsByPeer = map[string][][]int64{}
-				}
-				cellsByPeer[o] = append(cellsByPeer[o], append([]int64(nil), c...))
-			})
-		}
-		for o, cells := range cellsByPeer {
-			pp := perPeer[o]
-			if pp == nil {
-				pp = &peerProbes{}
-				perPeer[o] = pp
+// neighbourhood groups the cells of p's L2 neighbourhood that shards other
+// than owner own, by owner.
+func (rt *Router) neighbourhood(topo *Topology, cell []int64, owner string) []peerCells {
+	var out []peerCells
+	for radius := 0; radius <= rt.l2; radius++ {
+		index.RingCells(cell, radius, func(c []int64) {
+			o := topo.Owner(c)
+			if o == owner {
+				return // the owning shard walks its own cells
 			}
-			pp.probes = append(pp.probes, SupportProbe{Point: sp.pt, Cells: cells})
-			pp.segIxs = append(pp.segIxs, j)
+			k := 0
+			for k < len(out) && out[k].owner != o {
+				k++
+			}
+			if k == len(out) {
+				out = append(out, peerCells{owner: o})
+			}
+			out[k].cells = append(out[k].cells, append([]int64(nil), c...))
+		})
+	}
+	return out
+}
+
+// shardRun is one shard's share of a run: its wave-one probe and wave-two
+// script, and which run op each answer belongs to.
+type shardRun struct {
+	probe    []stream.RunOp
+	countOf  []int // run op of each count probe
+	victimOf []int // run op of each victim
+	script   []stream.RunOp
+	admitOf  []int // run op of each admission in the script
+	probed   SupportResponse
+	applied  IngestBatchResponse
+}
+
+func sortedNames(shards map[string]*shardRun) []string {
+	names := make([]string, 0, len(shards))
+	for name := range shards {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// wave issues call once per named shard, concurrently, and returns each
+// shard's error.
+func (rt *Router) wave(label string, names []string, call func(name string) error) []error {
+	errsOut := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		rt.met.waveRPCs[label].Inc()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errsOut[i] = call(name)
+		}()
+	}
+	wg.Wait()
+	return errsOut
+}
+
+// settleRunLocked settles one staged run in its two waves and commits what
+// the shards applied to the router's window bookkeeping. Callers hold rt.mu.
+func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.Time, key string, st *runStage, evicted []int, out []verdictLine) {
+	ops := st.ops
+	shards := map[string]*shardRun{}
+	get := func(name string) *shardRun {
+		sr := shards[name]
+		if sr == nil {
+			sr = &shardRun{}
+			shards[name] = sr
+		}
+		return sr
+	}
+	nb := make([][]peerCells, len(ops))
+	for j := range ops {
+		op := &ops[j]
+		if op.evict {
+			sr := get(op.owner)
+			sr.probe = append(sr.probe, stream.RunOp{Kind: stream.RunEvict, ID: op.id})
+			sr.victimOf = append(sr.victimOf, j)
+			continue
+		}
+		nb[j] = rt.neighbourhood(topo, op.cell, op.owner)
+		for _, pc := range nb[j] {
+			sr := get(pc.owner)
+			sr.probe = append(sr.probe, stream.RunOp{Kind: stream.RunSupport, Point: op.pt, Cells: pc.cells})
+			sr.countOf = append(sr.countOf, j)
 		}
 	}
 
-	// Phase one: one support exchange per peer, probes in point order.
-	peers := make([]string, 0, len(perPeer))
-	for o := range perPeer {
-		peers = append(peers, o)
-	}
-	sort.Strings(peers)
-	failProbes := func(pp *peerProbes, msg string) {
-		for _, j := range pp.segIxs {
-			if failed[j] {
-				continue
-			}
-			failed[j] = true
-			out[seg[j].line] = verdictLine{ID: seg[j].pt.ID, Error: msg}
-			rt.met.lineErrors.Inc()
-		}
-	}
-	for _, o := range peers {
-		pp := perPeer[o]
-		body := EncodeSupportBatch(SupportHeader{Delta: 1}, pp.probes)
-		key := fmt.Sprintf("%s|seg%d|b|%s", reqID, segIdx, o)
-		var resp SupportResponse
+	// Wave one: read-only probes.
+	errs1 := rt.wave("1", sortedNames(shards), func(name string) error {
+		sr := shards[name]
 		rt.met.supportRPCs.Inc()
-		if err := rt.callShard(ctx, topo, o, PathSupport, key, body, &resp); err != nil {
-			failProbes(pp, fmt.Sprintf("shard %s unavailable: %v", o, err))
+		if err := rt.callShard(ctx, topo, name, PathSupport, key+"|p|"+name, EncodeRunProbe(sr.probe), &sr.probed); err != nil {
+			return fmt.Errorf("shard %s unavailable: %v", name, err)
+		}
+		resp := &sr.probed
+		switch {
+		case resp.Error != "":
+			return fmt.Errorf("%s", resp.Error)
+		case len(resp.Counts) != len(sr.countOf) || len(resp.Victims) != len(sr.victimOf):
+			return fmt.Errorf("shard %s: run probe answered %d counts and %d victims for %d and %d",
+				name, len(resp.Counts), len(resp.Victims), len(sr.countOf), len(sr.victimOf))
+		}
+		for _, c := range resp.Victims {
+			if len(c) != rt.cfg.Dim {
+				return fmt.Errorf("shard %s: run probe answered a %d-d victim", name, len(c))
+			}
+		}
+		return nil
+	})
+	for _, err := range errs1 {
+		if err == nil {
 			continue
 		}
-		if resp.Error != "" {
-			failProbes(pp, resp.Error)
-			continue
+		for _, op := range ops {
+			if !op.evict {
+				out[op.line] = verdictLine{ID: op.id, Error: err.Error()}
+				rt.met.lineErrors.Inc()
+			}
 		}
-		if len(resp.Counts) != len(pp.probes) {
-			failProbes(pp, fmt.Sprintf("shard %s: support answered %d counts for %d probes", o, len(resp.Counts), len(pp.probes)))
-			continue
-		}
-		for idx, c := range resp.Counts {
-			foreign[pp.segIxs[idx]] += c
-		}
+		return
 	}
 
-	// Pairwise pass: count segment-internal cross-shard neighbor pairs the
-	// pre-segment probes could not see. Buckets key on center cell; the
-	// acceptance rule is the index's own — cells within Chebyshev distance 1
-	// of the probe's cell auto-accept, farther cells get the exact distance
-	// check — so the counts match what live support would have returned.
-	// Failed points are excluded: under the per-point protocol they would
-	// never have been admitted.
-	intraEarlier := make([]int, n)
-	crossLater := make([]int, n)
-	buckets := map[string][]int{}
-	var kscratch []byte
-	for j := range seg {
-		if failed[j] {
-			continue
+	// Foreign counts: pre-run residents from the probes, plus the run's own
+	// earlier admissions on other shards, found by the index's acceptance
+	// rule — cells within Chebyshev distance 1 accept outright, farther
+	// cells need the exact distance check.
+	foreign := make([]int, len(ops))
+	for _, sr := range shards {
+		for k, j := range sr.countOf {
+			foreign[j] += sr.probed.Counts[k]
 		}
-		kscratch = cellKey(kscratch, seg[j].cell)
-		buckets[string(kscratch)] = append(buckets[string(kscratch)], j)
+		for k, j := range sr.victimOf {
+			ops[j].pt = geom.Point{ID: ops[j].id, Coords: sr.probed.Victims[k]}
+		}
 	}
-	for q := range seg {
-		if failed[q] {
+	buckets := map[string][]int{} // cell -> admissions in run order
+	var kscratch []byte
+	for j, op := range ops {
+		if !op.evict {
+			kscratch = cellKey(kscratch, op.cell)
+			buckets[string(kscratch)] = append(buckets[string(kscratch)], j)
+		}
+	}
+	for q := range ops {
+		oq := &ops[q]
+		if oq.evict {
 			continue
 		}
-		sq := &seg[q]
 		for radius := 0; radius <= rt.l2; radius++ {
-			index.RingCells(sq.cell, radius, func(c []int64) {
+			index.RingCells(oq.cell, radius, func(c []int64) {
 				kscratch = cellKey(kscratch, c)
 				for _, i := range buckets[string(kscratch)] {
-					if i == q || seg[i].owner == sq.owner {
-						continue
+					if i >= q {
+						break
 					}
-					if radius > 1 && !geom.WithinDist(seg[i].pt, sq.pt, rt.cfg.R) {
-						continue
-					}
-					if i < q {
-						intraEarlier[q]++
-					} else {
-						crossLater[q]++
+					if ops[i].owner != oq.owner && (radius <= 1 || geom.WithinDist(ops[i].pt, oq.pt, rt.cfg.R)) {
+						foreign[q]++
 					}
 				}
 			})
 		}
 	}
 
-	// Phase two: one batched admission per owning shard, items in arrival
-	// order with their pre-assigned sequence numbers.
-	type ownerRun struct {
-		items  []AdmitItem
-		segIxs []int
+	// Wave two: one seq-ordered script per shard.
+	for j := range ops {
+		op := &ops[j]
+		delta := +1
+		own := get(op.owner)
+		if op.evict {
+			delta = -1
+			nb[j] = rt.neighbourhood(topo, op.cell, op.owner)
+			own.script = append(own.script, stream.RunOp{Kind: stream.RunEvict, ID: op.id})
+		} else {
+			own.script = append(own.script, stream.RunOp{Kind: stream.RunAdmit, Point: op.pt, Seq: op.seq, Foreign: foreign[j]})
+			own.admitOf = append(own.admitOf, j)
+		}
+		for _, pc := range nb[j] {
+			sr := get(pc.owner)
+			sr.script = append(sr.script, stream.RunOp{Kind: stream.RunSupport, Point: op.pt, Cells: pc.cells, Delta: delta})
+		}
 	}
-	perOwner := map[string]*ownerRun{}
-	for j := range seg {
-		if failed[j] {
-			continue
+	names := sortedNames(shards)
+	arrivedNs := now.UnixNano()
+	errs2 := rt.wave("2", names, func(name string) error {
+		sr := shards[name]
+		body := EncodeRun(RunHeader{ArrivedNs: arrivedNs, Count: len(sr.script)}, sr.script)
+		if err := rt.callShard(ctx, topo, name, PathShardIngestBatch, key+"|"+name, body, &sr.applied); err != nil {
+			return fmt.Errorf("shard %s unavailable: %v", name, err)
 		}
-		or := perOwner[seg[j].owner]
-		if or == nil {
-			or = &ownerRun{}
-			perOwner[seg[j].owner] = or
+		if sr.applied.Error != "" {
+			return fmt.Errorf("%s", sr.applied.Error)
 		}
-		or.items = append(or.items, AdmitItem{
-			Point:      seg[j].pt,
-			Seq:        baseSeq + uint64(j) + 1,
-			Foreign:    foreign[j] + intraEarlier[j],
-			CrossLater: crossLater[j],
-		})
-		or.segIxs = append(or.segIxs, j)
-	}
-	owners := make([]string, 0, len(perOwner))
-	for o := range perOwner {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	for _, o := range owners {
-		or := perOwner[o]
-		body := EncodeIngestBatch(IngestBatchHeader{ArrivedNs: now.UnixNano(), Count: len(or.items)}, or.items)
-		key := fmt.Sprintf("%s|seg%d|a|%s", reqID, segIdx, o)
-		var resp IngestBatchResponse
-		failRun := func(msg string) {
-			for _, j := range or.segIxs {
-				failed[j] = true
-				out[seg[j].line] = verdictLine{ID: seg[j].pt.ID, Error: msg}
-				rt.met.lineErrors.Inc()
-			}
+		if len(sr.applied.Neighbors) != len(sr.admitOf) {
+			return fmt.Errorf("shard %s: %d results for %d admissions", name, len(sr.applied.Neighbors), len(sr.admitOf))
 		}
-		if err := rt.callShard(ctx, topo, o, PathShardIngestBatch, key, body, &resp); err != nil {
-			failRun(fmt.Sprintf("shard %s unavailable: %v", o, err))
-			continue
-		}
-		if resp.Error != "" {
-			failRun(resp.Error)
-			continue
-		}
-		if len(resp.Results) != len(or.items) {
-			failRun(fmt.Sprintf("shard %s: %d results for %d admissions", o, len(resp.Results), len(or.items)))
-			continue
-		}
-		for idx, res := range resp.Results {
-			j := or.segIxs[idx]
-			if res.Error != "" {
-				failed[j] = true
-				out[seg[j].line] = verdictLine{ID: seg[j].pt.ID, Error: res.Error}
-				rt.met.lineErrors.Inc()
-				continue
-			}
-			out[seg[j].line] = verdictLine{
-				ID: res.ID, Seq: res.Seq, Neighbors: res.Neighbors,
-				Outlier: res.Outlier, Evicted: seg[j].evictions,
-			}
+		return nil
+	})
+	failed := map[string]error{}
+	for i, err := range errs2 {
+		if err != nil {
+			failed[names[i]] = err
 		}
 	}
 
-	// Commit successes in arrival order. The whole segment's sequence
-	// numbers are consumed, success or not — they were baked into the
-	// phase-two bodies before any outcome was known, so a failed line
-	// leaves a gap rather than renumbering its successors.
-	arrivedNs := now.UnixNano()
-	for j := range seg {
-		if failed[j] {
+	// Commit. Victims on a failed shard stay resident and go back to the
+	// front of the FIFO, in order; the rest leave the window.
+	var keep []uint64
+	for _, op := range ops {
+		if !op.evict {
 			continue
 		}
-		rt.fifo = append(rt.fifo, seg[j].pt.ID)
-		rt.residents[seg[j].pt.ID] = resident{cell: seg[j].cell, arrivedNs: arrivedNs}
+		if failed[op.owner] != nil {
+			keep = append(keep, op.id)
+			continue
+		}
+		delete(rt.residents, op.id)
+		evicted[op.line]++
+		rt.met.evictions.Inc()
 	}
-	rt.seq = baseSeq + uint64(n)
+	rt.head = st.cursor - len(keep)
+	copy(rt.fifo[rt.head:], keep)
+	rt.reclaimFifoLocked()
+	// Admissions commit in run order. The run's sequence numbers are
+	// consumed whatever the outcome: they were in the scripts before any
+	// outcome was known, so a failed line leaves a gap.
+	for name, sr := range shards {
+		for k, j := range sr.admitOf {
+			op := &ops[j]
+			if err := failed[name]; err != nil {
+				out[op.line] = verdictLine{ID: op.id, Error: err.Error()}
+				rt.met.lineErrors.Inc()
+				continue
+			}
+			n := sr.applied.Neighbors[k]
+			out[op.line] = verdictLine{ID: op.id, Seq: op.seq, Neighbors: n,
+				Outlier: n < rt.cfg.K, Evicted: evicted[op.line]}
+		}
+	}
+	for _, op := range ops {
+		if !op.evict && out[op.line].Error == "" {
+			rt.fifo = append(rt.fifo, op.id)
+			rt.residents[op.id] = resident{cell: op.cell, arrivedNs: arrivedNs}
+		}
+	}
+	rt.seq += uint64(st.admits)
 }
 
 // scoreChunk scores lines [lo, hi) with one read-only support RPC per

@@ -4,8 +4,9 @@ import "dod/internal/obs"
 
 // routerMetrics are the dod_route_* instruments: the router's own request
 // traffic, its shard call fan-out (with retry visibility — the first sign
-// of a struggling shard), eviction/drain churn, and tenant-level
-// rejections.
+// of a struggling shard), eviction/drain churn, tenant-level rejections,
+// how long each ingest batch holds the global window lock, and the RPCs
+// of each wave of the run protocol.
 type routerMetrics struct {
 	ingestReqs   *obs.Counter
 	scoreReqs    *obs.Counter
@@ -25,6 +26,8 @@ type routerMetrics struct {
 	promotes     *obs.Counter
 	replicaLost  *obs.Counter
 	forcedLoss   *obs.Counter
+	lockHold     *obs.Histogram
+	waveRPCs     map[string]*obs.Counter // by wave: "1", "2"
 }
 
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {
@@ -47,5 +50,10 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 		promotes:     reg.Counter("dod_promote_total", "standby promotions committed"),
 		replicaLost:  reg.Counter("dod_replica_lost_total", "ops known lost to replication lag at promotion decisions"),
 		forcedLoss:   reg.Counter("dod_route_forced_loss_total", "window entries dropped by forced drains"),
+		lockHold:     reg.Histogram("dod_route_lock_hold_seconds", "time one ingest batch holds the router's global window lock", nil),
+		waveRPCs: map[string]*obs.Counter{
+			"1": reg.Counter("dod_route_wave_rpcs_total", "run protocol shard RPCs by wave", obs.L("wave", "1")),
+			"2": reg.Counter("dod_route_wave_rpcs_total", "run protocol shard RPCs by wave", obs.L("wave", "2")),
+		},
 	}
 }

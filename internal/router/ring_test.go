@@ -1,12 +1,17 @@
 package router
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dod/internal/geom"
 	"dod/internal/index"
+	"dod/internal/stream"
 )
 
 func testTopology(shards ...string) *Topology {
@@ -191,6 +196,54 @@ func TestWireRoundTrips(t *testing.T) {
 		mut := append([]byte(nil), sb...)
 		mut[off] ^= 0x40
 		if _, _, _, err := DecodeSupport(mut); err == nil {
+			t.Fatalf("corrupted byte %d decoded cleanly", off)
+		}
+	}
+}
+
+// TestBlockHashIsFNV pins the inline block hash to FNV-64a over the
+// little-endian block coordinates, the placement every deployed ring uses:
+// a different hash would move cells between shards.
+func TestBlockHashIsFNV(t *testing.T) {
+	topo := &Topology{Epoch: 1, Dim: 3, R: 1, K: 1, Block: 4, Shards: []ShardInfo{{Name: "a"}}}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		cell := []int64{rng.Int63n(1<<20) - 1<<19, rng.Int63() - 1<<62, -rng.Int63n(9)}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, c := range cell {
+			binary.LittleEndian.PutUint64(buf[:], uint64(floorDiv(c, 4)))
+			h.Write(buf[:])
+		}
+		if got, want := topo.blockHash(cell), h.Sum64(); got != want {
+			t.Fatalf("cell %v: block hash %x, want FNV-64a %x", cell, got, want)
+		}
+	}
+}
+
+// TestRunWireRoundTrips round-trips both run wire forms — the script body
+// and the run probe on the support path — and holds them to the sealed
+// bodies' rule: corruption anywhere is a typed failure.
+func TestRunWireRoundTrips(t *testing.T) {
+	p := geom.Point{ID: 42, Coords: []float64{1.5, -2.25}}
+	ops := []stream.RunOp{
+		{Kind: stream.RunEvict, ID: 7},
+		{Kind: stream.RunAdmit, Point: p, Seq: 99, Foreign: 3},
+		{Kind: stream.RunSupport, Point: p, Cells: [][]int64{{-3, 4}, {0, 0}}, Delta: -1},
+	}
+	body := EncodeRun(RunHeader{ArrivedNs: -5, Count: len(ops)}, ops)
+	hdr, got, err := DecodeRun(body)
+	if err != nil || hdr.ArrivedNs != -5 || !reflect.DeepEqual(got, ops) {
+		t.Fatalf("script round trip: %+v %+v %v", hdr, got, err)
+	}
+	shdr, probes, got, err := DecodeSupportBatch(EncodeRunProbe(ops))
+	if err != nil || !shdr.Run || probes != nil || !reflect.DeepEqual(got, ops) {
+		t.Fatalf("probe round trip: %+v %v %+v %v", shdr, probes, got, err)
+	}
+	for off := 0; off < len(body); off++ {
+		mut := append([]byte(nil), body...)
+		mut[off] ^= 0x40
+		if _, _, err := DecodeRun(mut); err == nil {
 			t.Fatalf("corrupted byte %d decoded cleanly", off)
 		}
 	}

@@ -93,8 +93,9 @@ type Config struct {
 	// Off by default: the profiling endpoints can stall the serving path
 	// and expose internals, so they are opt-in like dodserve's.
 	EnablePprof bool
-	// now overrides the clock in tests.
-	now func() time.Time
+	// Clock overrides time.Now, the source of arrival instants and so of
+	// TTL expiry (tests); nil uses time.Now.
+	Clock func() time.Time
 }
 
 // resident is the router's per-point window metadata: enough to know WHERE
@@ -187,8 +188,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.now == nil {
-		cfg.now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -201,9 +202,9 @@ func New(cfg Config) (*Router, error) {
 		met:          newRouterMetrics(cfg.Obs),
 		trace:        obs.NewTrace("dodroute"),
 		client:       &http.Client{Transport: transport},
-		limiter:      newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, cfg.TenantQuota, cfg.now),
-		now:          cfg.now,
-		started:      cfg.now(),
+		limiter:      newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, cfg.TenantQuota, cfg.Clock),
+		now:          cfg.Clock,
+		started:      cfg.Clock(),
 		l2:           detect.L2Radius(cfg.Dim),
 		topo:         topo,
 		breakers:     make(map[string]*retry.Breaker),
@@ -571,6 +572,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// the shared timestamp matches the single-process tier's
 	// one-ProcessBatch-one-instant semantics.
 	rt.mu.Lock()
+	locked := time.Now()
 	topo := rt.topology()
 	now := rt.now()
 	if rt.cfg.NoCoalesce {
@@ -591,8 +593,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			out[i] = v
 		}
 	} else {
-		rt.ingestCoalescedLocked(r.Context(), topo, now, reqID, items, out)
+		rt.ingestRunsLocked(r.Context(), topo, now, reqID, items, out)
 	}
+	rt.met.lockHold.Observe(time.Since(locked).Seconds())
 	rt.mu.Unlock()
 	if rt.cfg.LegacyWire {
 		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })

@@ -11,9 +11,11 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dod/internal/obs"
 	"dod/internal/retry"
 	"dod/internal/router"
 	"dod/internal/serve"
@@ -41,6 +43,8 @@ type cluster struct {
 type clusterOpts struct {
 	shards     int
 	capacity   int
+	ttl        time.Duration
+	clock      func() time.Time // router and reference clock; nil is time.Now
 	block      int
 	routerOpts func(*router.Config)
 	// shardTransport, when set, supplies each shard's peer-call transport
@@ -119,6 +123,8 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	cfg := router.Config{
 		R: testR, K: testK, Dim: testDim,
 		Capacity: o.capacity,
+		TTL:      o.ttl,
+		Clock:    o.clock,
 		Shards:   infos,
 		Block:    o.block,
 		Retry:    retry.Policy{Base: time.Millisecond},
@@ -139,8 +145,8 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	t.Cleanup(c.rtSrv.Close)
 
 	ref, err := serve.New(serve.Config{Stream: stream.Config{
-		R: testR, K: testK, Dim: testDim, Capacity: o.capacity,
-	}})
+		R: testR, K: testK, Dim: testDim, Capacity: o.capacity, TTL: o.ttl,
+	}, Clock: o.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +315,151 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fakeClock is a settable clock shared by the router and the reference.
+type fakeClock struct{ ns atomic.Int64 }
+
+func newFakeClock() *fakeClock {
+	c := &fakeClock{}
+	c.ns.Store(time.Unix(1700000000, 0).UnixNano())
+	return c
+}
+
+func (c *fakeClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// TestRouterTTLMatchesSingleProcess extends the E2E property to the
+// eviction orders the run protocol settles: TTL-only windows, windows
+// bounded by both capacity and TTL, and requests longer than the capacity,
+// whose victims were admitted earlier in the same request. The clock moves
+// between requests, so TTL expiry happens at ingest; the TTL is an hour of
+// that clock, so the reference's background sweeper (every TTL/4 of real
+// time) never runs during the test.
+func TestRouterTTLMatchesSingleProcess(t *testing.T) {
+	cases := []struct {
+		name             string
+		capacity         int
+		ttl              time.Duration
+		batches, perLine int
+	}{
+		{"ttl", 0, time.Hour, 16, 25},
+		{"capacity+ttl", 60, time.Hour, 16, 25},
+		{"long-batch", 30, 0, 6, 100},
+		{"long-batch+ttl", 40, time.Hour, 8, 90},
+	}
+	for _, tc := range cases {
+		for _, seed := range []int64{1, 2} {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				clock := newFakeClock()
+				c := newCluster(t, clusterOpts{shards: 3, capacity: tc.capacity, ttl: tc.ttl, block: 2, clock: clock.now})
+				rng := rand.New(rand.NewSource(seed))
+				id := uint64(0)
+				for b := 0; b < tc.batches; b++ {
+					clock.advance(time.Duration(rng.Int63n(int64(25 * time.Minute))))
+					id = c.streamBatches(rng, id, 1, tc.perLine)
+				}
+				c.checkFinalState()
+				if st := c.ref.Window().Stats(); st.Evicted == 0 || st.FlipOut == 0 {
+					t.Fatalf("stream never evicted with a flip (%d evictions, %d flips): the case tests nothing", st.Evicted, st.FlipOut)
+				}
+			})
+		}
+	}
+}
+
+// TestRouterRunRPCs pins the run protocol's cost and its instruments: an
+// evicting ingest request costs at most one wave-one and one wave-two RPC
+// per shard and nothing else, each request records one rt.mu hold, and
+// /metrics exports both instruments.
+func TestRouterRunRPCs(t *testing.T) {
+	c := newCluster(t, clusterOpts{shards: 3, capacity: 60, block: 2})
+	reg := c.rt.Registry()
+	counter := func(name string, labels ...obs.Label) int64 { return reg.Counter(name, "", labels...).Value() }
+	calls0 := counter("dod_route_shard_calls_total")
+	rng := rand.New(rand.NewSource(3))
+	const requests = 10
+	c.streamBatches(rng, 0, requests, 25)
+	w1 := counter("dod_route_wave_rpcs_total", obs.L("wave", "1"))
+	w2 := counter("dod_route_wave_rpcs_total", obs.L("wave", "2"))
+	if w1 == 0 || w1 > 3*requests || w2 == 0 || w2 > 3*requests {
+		t.Fatalf("wave RPCs for %d requests over 3 shards: wave 1 %d, wave 2 %d", requests, w1, w2)
+	}
+	// Score batches (every third request) call shards outside the waves.
+	scoreCalls := counter("dod_support_rpc_total") - w1
+	if got := counter("dod_route_shard_calls_total") - calls0; got != w1+w2+scoreCalls {
+		t.Fatalf("shard calls %d != wave RPCs %d + %d + score RPCs %d", got, w1, w2, scoreCalls)
+	}
+	if n := reg.Histogram("dod_route_lock_hold_seconds", "", nil).Count(); n != requests {
+		t.Fatalf("lock hold observations %d, want one per ingest request (%d)", n, requests)
+	}
+	if st := c.ref.Window().Stats(); st.Evicted == 0 {
+		t.Fatal("stream never evicted")
+	}
+	resp, err := http.Get(c.rtSrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"dod_route_lock_hold_seconds_count", `dod_route_wave_rpcs_total{wave="1"}`, `dod_route_wave_rpcs_total{wave="2"}`} {
+		if !bytes.Contains(raw, []byte(want)) {
+			t.Fatalf("/metrics lacks %s", want)
+		}
+	}
+}
+
+// failSupport fails every /v1/support call while armed.
+type failSupport struct{ armed atomic.Bool }
+
+func (f *failSupport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if f.armed.Load() && req.URL.Path == router.PathSupport {
+		return nil, fmt.Errorf("failSupport: %s refused", req.URL.Path)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterRunProbeFailureChangesNothing pins the run protocol's first
+// failure class: when wave one fails, every admission of the run answers
+// an error and no shard or router state changes, so the stream continues
+// byte-identical to a reference that never saw the failed request.
+func TestRouterRunProbeFailureChangesNothing(t *testing.T) {
+	fs := &failSupport{}
+	c := newCluster(t, clusterOpts{shards: 3, capacity: 60, block: 2, routerOpts: func(cfg *router.Config) {
+		cfg.Transport = fs
+		cfg.RetryAttempts = 2
+		cfg.Breaker = retry.BreakerConfig{Threshold: 1 << 20} // keep scoring on every shard
+	}})
+	rng := rand.New(rand.NewSource(5))
+	id := c.streamBatches(rng, 0, 4, 25) // the window is full: the failed run evicts
+	snapshot := func() []byte {
+		resp, err := http.Get(c.rtSrv.URL + "/v1/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return raw
+	}
+	before := snapshot()
+	var sb strings.Builder
+	for i := 0; i < 25; i++ {
+		fmt.Fprintf(&sb, `{"id":%d,"coords":[%g,%g]}`+"\n", 900_000+i, rng.Float64()*12, rng.Float64()*12)
+	}
+	fs.armed.Store(true)
+	status, raw := post(t, c.rtSrv.URL+"/v1/ingest", sb.String())
+	fs.armed.Store(false)
+	if status != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", status, raw)
+	}
+	if lines := strings.Count(string(raw), "\n"); lines != 25 || strings.Count(string(raw), `"error"`) != 25 {
+		t.Fatalf("failed run answered %d lines, not all errors:\n%s", lines, raw)
+	}
+	if after := snapshot(); !bytes.Equal(after, before) {
+		t.Fatalf("a failed run probe changed the window:\nbefore %s\nafter %s", before, after)
+	}
+	c.streamBatches(rng, id, 4, 25)
+	c.checkFinalState()
 }
 
 // TestRouterBatchSplitInvariance pins the batch-API contract end to end:

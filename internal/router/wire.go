@@ -56,21 +56,25 @@ type IngestResponse struct {
 // +1/-1 applies an arrival/eviction neighbor-count delta to the matched
 // points (Lemma 3.1: the owning shard's counts are sufficient — no point
 // data crosses the wire, only counts); delta 0 is a read-only count for
-// scoring, early-terminated at Limit.
+// scoring, early-terminated at Limit. Run marks a run probe, whose body
+// carries run entries instead of probes (EncodeRunProbe).
 type SupportHeader struct {
-	Delta int `json:"delta"`
-	Limit int `json:"limit,omitempty"`
+	Delta int  `json:"delta"`
+	Limit int  `json:"limit,omitempty"`
+	Run   bool `json:"run,omitempty"`
 }
 
 // SupportResponse answers a support call with the neighbor count found in
 // the requested cells. Multi-probe bodies (EncodeSupportBatch) are answered
 // with one count per probe in Counts, probe order, alongside the summed
-// Count.
+// Count. A run probe also answers its victims' coordinates in Victims, in
+// victim order.
 type SupportResponse struct {
-	Count     int    `json:"count"`
-	Counts    []int  `json:"counts,omitempty"`
-	Error     string `json:"error,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
+	Count     int         `json:"count"`
+	Counts    []int       `json:"counts,omitempty"`
+	Victims   [][]float64 `json:"victims,omitempty"`
+	Error     string      `json:"error,omitempty"`
+	RequestID string      `json:"request_id,omitempty"`
 }
 
 // EvictRequest asks a shard to expire one resident point by ID.
@@ -124,14 +128,19 @@ func appendJSONHeader(dst []byte, v any) []byte {
 // appendCells appends a frameCells frame: uvarint dim, uvarint count, then
 // count×dim varint cell coordinates.
 func appendCells(dst []byte, dim int, cells [][]int64) []byte {
-	payload := binary.AppendUvarint(nil, uint64(dim))
-	payload = binary.AppendUvarint(payload, uint64(len(cells)))
+	return codec.AppendFrame(dst, frameCells, appendCellsPayload(nil, dim, cells))
+}
+
+// appendCellsPayload appends a frameCells payload.
+func appendCellsPayload(dst []byte, dim int, cells [][]int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(dim))
+	dst = binary.AppendUvarint(dst, uint64(len(cells)))
 	for _, c := range cells {
 		for _, v := range c {
-			payload = binary.AppendVarint(payload, v)
+			dst = binary.AppendVarint(dst, v)
 		}
 	}
-	return codec.AppendFrame(dst, frameCells, payload)
+	return dst
 }
 
 // decodeCells parses a frameCells payload.
@@ -321,7 +330,7 @@ type wireFrames struct {
 	points    [][]byte
 	cells     [][]byte
 	entries   [][]byte
-	admits    [][]byte
+	runOps    [][]byte
 }
 
 // decodeSealed strips the integrity frame and sorts the remaining frames
@@ -348,8 +357,8 @@ func decodeSealed(body []byte) (*wireFrames, error) {
 			f.cells = append(f.cells, payload)
 		case frameEntry:
 			f.entries = append(f.entries, payload)
-		case frameAdmit:
-			f.admits = append(f.admits, payload)
+		case frameRunOp:
+			f.runOps = append(f.runOps, payload)
 		default:
 			return nil, codec.WireErrorf("router: unknown frame kind %d", kind)
 		}

@@ -5,26 +5,26 @@ import (
 
 	"dod/internal/codec"
 	"dod/internal/geom"
+	"dod/internal/stream"
 )
 
-// Coalesced data plane. A router ingest batch used to cost one shard round
-// trip per point plus one shard→shard support hop per peer per point. The
-// batch wire forms below collapse that: the router groups a run of
-// admissions (a "segment") and issues ONE multi-probe /v1/support exchange
-// per peer shard — every segment point's foreign cells in one sealed body —
-// followed by ONE /v1/shard/ingest_batch per owning shard carrying each
-// point with its already-settled foreign neighbor count. Frame kinds and
-// sealing are shared with the per-point protocol.
+// Batch wire forms. A router ingest batch settles as runs (coalesce.go), each
+// in two waves of one RPC per shard: a read-only run probe on /v1/support
+// (EncodeRunProbe) and a seq-ordered run script on /v1/shard/ingest_batch
+// (EncodeRun). Scoring sends one multi-probe /v1/support body per owning
+// shard (EncodeSupportBatch). Frame kinds and sealing are shared with the
+// per-point protocol.
 
-// PathShardIngestBatch admits a run of points on their owning shard in one
-// exchange; see EncodeIngestBatch.
+// PathShardIngestBatch applies one shard's script of a run in one
+// exchange; see EncodeRun.
 const PathShardIngestBatch = "/v1/shard/ingest_batch"
 
-// frameAdmit is one batched admission: a codec point record followed by
-// uvarint sequence number, uvarint settled foreign neighbor count, and
-// uvarint count of later cross-shard segment arrivals to fold in after the
-// whole segment is admitted.
-const frameAdmit byte = 5
+// frameRunOp is one run entry: a stream.RunOpKind byte, then
+//
+//	RunAdmit:   codec point, uvarint seq, uvarint foreign count
+//	RunEvict:   uvarint id
+//	RunSupport: varint delta, codec point, cell list (frameCells payload)
+const frameRunOp byte = 5
 
 // SupportProbe is one (point, cells) pair of a multi-probe support body.
 type SupportProbe struct {
@@ -32,36 +32,20 @@ type SupportProbe struct {
 	Cells [][]int64
 }
 
-// AdmitItem is one point of a batched shard ingest. Foreign is the point's
-// cross-shard neighbor count at its admission instant — pre-segment support
-// (counted by the phase-one probes) plus earlier same-segment arrivals on
-// other shards — so the owning shard can produce the exact sequential
-// verdict without issuing any support call of its own. CrossLater is how
-// many later same-segment arrivals on other shards neighbor this point;
-// the shard folds those +1s in after admitting the whole run, which lands
-// the identical flip decisions the per-point protocol would have made
-// (counts only grow during a segment, so each entry crosses K at most once
-// and the order of the +1s cannot change the outcome).
-type AdmitItem struct {
-	Point      geom.Point
-	Seq        uint64
-	Foreign    int
-	CrossLater int
-}
-
-// IngestBatchHeader is the control header of a batched shard ingest.
-type IngestBatchHeader struct {
+// RunHeader is the control header of a run script.
+type RunHeader struct {
 	ArrivedNs int64 `json:"arrivedNs"`
 	Count     int   `json:"count"`
 }
 
-// IngestBatchResponse answers a batched shard ingest with one result per
-// admitted item, in item order. Error reports a whole-batch failure (e.g. a
-// corrupt body); per-item failures live in their Results slot.
+// IngestBatchResponse answers a run script with each admission's neighbour
+// count at admission, in script order; the router knows the rest of each
+// verdict. Error reports a script that was not applied at all. Shards keep
+// the response for idempotent replay, so it stays small.
 type IngestBatchResponse struct {
-	Results   []IngestResponse `json:"results,omitempty"`
-	Error     string           `json:"error,omitempty"`
-	RequestID string           `json:"request_id,omitempty"`
+	Neighbors []int  `json:"neighbors,omitempty"`
+	Error     string `json:"error,omitempty"`
+	RequestID string `json:"request_id,omitempty"`
 }
 
 // EncodeSupportBatch builds a sealed multi-probe support body: the header,
@@ -76,52 +60,77 @@ func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
 	return codec.AppendSumFrame(body)
 }
 
-// DecodeSupportBatch parses a sealed support body into its probes. Bodies
-// from EncodeSupport decode as exactly one probe.
-func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, error) {
+// EncodeRunProbe builds a sealed run probe for /v1/support: a header with
+// Run set, then the probe's entries in run order (see ShardWindow.ProbeRun).
+func EncodeRunProbe(ops []stream.RunOp) []byte {
+	return encodeRun(SupportHeader{Run: true}, ops)
+}
+
+// EncodeRun builds a sealed run script for /v1/shard/ingest_batch.
+func EncodeRun(hdr RunHeader, ops []stream.RunOp) []byte {
+	return encodeRun(hdr, ops)
+}
+
+func encodeRun(hdr any, ops []stream.RunOp) []byte {
+	body := appendJSONHeader(nil, hdr)
+	var payload []byte
+	for _, op := range ops {
+		payload = append(payload[:0], byte(op.Kind))
+		switch op.Kind {
+		case stream.RunAdmit:
+			payload = codec.AppendPoint(payload, op.Point)
+			payload = binary.AppendUvarint(payload, op.Seq)
+			payload = binary.AppendUvarint(payload, uint64(op.Foreign))
+		case stream.RunEvict:
+			payload = binary.AppendUvarint(payload, op.ID)
+		case stream.RunSupport:
+			payload = binary.AppendVarint(payload, int64(op.Delta))
+			payload = codec.AppendPoint(payload, op.Point)
+			payload = appendCellsPayload(payload, op.Point.Dim(), op.Cells)
+		}
+		body = codec.AppendFrame(body, frameRunOp, payload)
+	}
+	return codec.AppendSumFrame(body)
+}
+
+// DecodeSupportBatch parses a sealed support body. A run probe (header Run
+// set) yields its entries in run order and no probes; any other body yields
+// its probes, and a body from EncodeSupport decodes as exactly one probe.
+func DecodeSupportBatch(body []byte) (SupportHeader, []SupportProbe, []stream.RunOp, error) {
 	var hdr SupportHeader
 	frames, err := decodeSealed(body)
 	if err != nil {
-		return hdr, nil, err
+		return hdr, nil, nil, err
 	}
 	if err := frames.header(&hdr); err != nil {
-		return hdr, nil, err
+		return hdr, nil, nil, err
+	}
+	if hdr.Run {
+		ops, err := decodeRunOps(frames.runOps)
+		return hdr, nil, ops, err
 	}
 	if len(frames.points) == 0 || len(frames.points) != len(frames.cells) {
-		return hdr, nil, codec.WireErrorf("router: support body has %d point and %d cell frames",
+		return hdr, nil, nil, codec.WireErrorf("router: support body has %d point and %d cell frames",
 			len(frames.points), len(frames.cells))
 	}
 	probes := make([]SupportProbe, len(frames.points))
 	for i := range frames.points {
 		pt, _, err := codec.DecodePoint(frames.points[i])
 		if err != nil {
-			return hdr, nil, err
+			return hdr, nil, nil, err
 		}
 		cells, err := decodeCells(frames.cells[i])
 		if err != nil {
-			return hdr, nil, err
+			return hdr, nil, nil, err
 		}
 		probes[i] = SupportProbe{Point: pt, Cells: cells}
 	}
-	return hdr, probes, nil
+	return hdr, probes, nil, nil
 }
 
-// EncodeIngestBatch builds a sealed batched-ingest body.
-func EncodeIngestBatch(hdr IngestBatchHeader, items []AdmitItem) []byte {
-	body := appendJSONHeader(nil, hdr)
-	for _, it := range items {
-		payload := codec.AppendPoint(nil, it.Point)
-		payload = binary.AppendUvarint(payload, it.Seq)
-		payload = binary.AppendUvarint(payload, uint64(it.Foreign))
-		payload = binary.AppendUvarint(payload, uint64(it.CrossLater))
-		body = codec.AppendFrame(body, frameAdmit, payload)
-	}
-	return codec.AppendSumFrame(body)
-}
-
-// DecodeIngestBatch parses a sealed batched-ingest body.
-func DecodeIngestBatch(body []byte) (IngestBatchHeader, []AdmitItem, error) {
-	var hdr IngestBatchHeader
+// DecodeRun parses a sealed run script.
+func DecodeRun(body []byte) (RunHeader, []stream.RunOp, error) {
+	var hdr RunHeader
 	frames, err := decodeSealed(body)
 	if err != nil {
 		return hdr, nil, err
@@ -129,31 +138,69 @@ func DecodeIngestBatch(body []byte) (IngestBatchHeader, []AdmitItem, error) {
 	if err := frames.header(&hdr); err != nil {
 		return hdr, nil, err
 	}
-	items := make([]AdmitItem, 0, len(frames.admits))
-	for _, raw := range frames.admits {
-		pt, n, err := codec.DecodePoint(raw)
+	if len(frames.runOps) != hdr.Count {
+		return hdr, nil, codec.WireErrorf("router: run op count %d != header %d", len(frames.runOps), hdr.Count)
+	}
+	ops, err := decodeRunOps(frames.runOps)
+	return hdr, ops, err
+}
+
+// decodeRunOps parses frameRunOp payloads.
+func decodeRunOps(raws [][]byte) ([]stream.RunOp, error) {
+	ops := make([]stream.RunOp, len(raws))
+	for i, raw := range raws {
+		if len(raw) == 0 {
+			return nil, codec.WireErrorf("router: empty run op")
+		}
+		op := &ops[i]
+		op.Kind = stream.RunOpKind(raw[0])
+		rest := raw[1:]
+		uvarint := func(what string) (uint64, error) {
+			v, n := binary.Uvarint(rest)
+			if n <= 0 {
+				return 0, codec.WireErrorf("router: truncated run op %s", what)
+			}
+			rest = rest[n:]
+			return v, nil
+		}
+		point := func() error {
+			pt, n, err := codec.DecodePoint(rest)
+			if err != nil {
+				return err
+			}
+			op.Point, rest = pt, rest[n:]
+			return nil
+		}
+		var err error
+		switch op.Kind {
+		case stream.RunAdmit:
+			var foreign uint64
+			if err = point(); err == nil {
+				if op.Seq, err = uvarint("seq"); err == nil {
+					foreign, err = uvarint("foreign count")
+					op.Foreign = int(foreign)
+				}
+			}
+		case stream.RunEvict:
+			op.ID, err = uvarint("id")
+		case stream.RunSupport:
+			delta, n := binary.Varint(rest)
+			if n <= 0 {
+				return nil, codec.WireErrorf("router: truncated run op delta")
+			}
+			op.Delta, rest = int(delta), rest[n:]
+			if err = point(); err == nil {
+				op.Cells, err = decodeCells(rest)
+			}
+			if err == nil && len(op.Cells) > 0 && len(op.Cells[0]) != op.Point.Dim() {
+				err = codec.WireErrorf("router: run op has %d-d cells for a %d-d point", len(op.Cells[0]), op.Point.Dim())
+			}
+		default:
+			err = codec.WireErrorf("router: unknown run op kind %d", op.Kind)
+		}
 		if err != nil {
-			return hdr, nil, err
+			return nil, err
 		}
-		off := n
-		seq, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return hdr, nil, codec.WireErrorf("router: truncated admit seq")
-		}
-		off += n
-		foreign, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return hdr, nil, codec.WireErrorf("router: truncated admit foreign count")
-		}
-		off += n
-		later, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return hdr, nil, codec.WireErrorf("router: truncated admit cross-later count")
-		}
-		items = append(items, AdmitItem{Point: pt, Seq: seq, Foreign: int(foreign), CrossLater: int(later)})
 	}
-	if len(items) != hdr.Count {
-		return hdr, nil, codec.WireErrorf("router: admit count %d != header %d", len(items), hdr.Count)
-	}
-	return hdr, items, nil
+	return ops, nil
 }

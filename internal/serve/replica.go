@@ -203,35 +203,26 @@ func (s *ShardServer) applyReplicaOp(op *replica.Op) error {
 	if topo == nil {
 		return fmt.Errorf("replica: window op %d before any topology", op.Kind)
 	}
+	// Each window op replays as a one-entry run script: the recorded
+	// Foreign count stands in for the primary's cross-shard count, and the
+	// local walk sees the state the primary's had at the same log position.
+	// A replayed eviction or support delta moves only this shard's counts;
+	// every peer logged its own half of the run.
+	var run stream.RunOp
 	switch op.Kind {
 	case replica.KindAdmit:
-		// A replayed admission is a one-item precounted batch: the recorded
-		// Foreign count stands in for the primary's live support fan-out, and
-		// CrossLater folds in immediately — bit-identical to the primary's
-		// batch-then-fold because counts only grow within a run.
-		_, errsOut := s.sw.AdmitBatch([]stream.PrecountedAdmission{{
-			Point: op.Point, Seq: op.PointSeq, Foreign: op.Foreign, CrossLater: op.CrossLater,
-		}}, time.Unix(0, op.ArrivedNs), s.owns(topo))
-		return errsOut[0]
+		run = stream.RunOp{Kind: stream.RunAdmit, Point: op.Point, Seq: op.PointSeq, Foreign: op.Foreign}
 	case replica.KindEvict:
-		// No support fan-out: every peer recorded its own half of this
-		// eviction as a KindSupport op in its own log.
-		ok, err := s.sw.EvictByID(op.ID, s.owns(topo), nil)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("replica: evict replay: id %d not resident", op.ID)
-		}
-		return nil
+		run = stream.RunOp{Kind: stream.RunEvict, ID: op.ID}
 	case replica.KindSupport:
-		_, err := s.sw.ApplySupport(op.Point, op.Cells, op.Delta, 0)
-		return err
+		run = stream.RunOp{Kind: stream.RunSupport, Point: op.Point, Cells: op.Cells, Delta: op.Delta}
 	case replica.KindImport:
 		return s.sw.Import(op.Entries)
 	default:
 		return fmt.Errorf("replica: unknown op kind %d", op.Kind)
 	}
+	_, err := s.sw.ApplyRun([]stream.RunOp{run}, time.Unix(0, op.ArrivedNs))
+	return err
 }
 
 // installReplicatedTopology installs a topology that arrived through the

@@ -20,6 +20,7 @@ import (
 	"dod/internal/geom"
 	"dod/internal/replica"
 	"dod/internal/router"
+	"dod/internal/stream"
 )
 
 const (
@@ -319,11 +320,11 @@ func TestPromotionFlipsStandby(t *testing.T) {
 	}
 
 	// A batched admission under one idempotency key, as the router sends.
-	items := []router.AdmitItem{
-		{Point: geom.Point{ID: 100, Coords: []float64{1, 1}}, Seq: 1000},
-		{Point: geom.Point{ID: 101, Coords: []float64{1.1, 1}}, Seq: 1001},
+	items := []stream.RunOp{
+		{Kind: stream.RunAdmit, Point: geom.Point{ID: 100, Coords: []float64{1, 1}}, Seq: 1000},
+		{Kind: stream.RunAdmit, Point: geom.Point{ID: 101, Coords: []float64{1.1, 1}}, Seq: 1001},
 	}
-	batch := router.EncodeIngestBatch(router.IngestBatchHeader{ArrivedNs: 5000, Count: len(items)}, items)
+	batch := router.EncodeRun(router.RunHeader{ArrivedNs: 5000, Count: len(items)}, items)
 	status, primResp := postBody(t, p.primSrv.URL+router.PathShardIngestBatch, "batch-route-1", batch)
 	if status != http.StatusOK {
 		t.Fatalf("primary batch: status %d: %s", status, primResp)

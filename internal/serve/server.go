@@ -106,8 +106,9 @@ type Config struct {
 	// Off by default: the profiling endpoints reveal internals and cost
 	// CPU, so they are opt-in.
 	EnablePprof bool
-	// now overrides the clock in tests.
-	now func() time.Time
+	// Clock overrides time.Now, the source of arrival instants and so of
+	// TTL expiry (tests); nil uses time.Now.
+	Clock func() time.Time
 }
 
 // Server is the HTTP serving layer. Create with New, mount via Handler,
@@ -154,8 +155,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.now == nil {
-		cfg.now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -164,8 +165,8 @@ func New(cfg Config) (*Server, error) {
 		pool:     newWorkerPool(cfg.Workers),
 		reg:      cfg.Obs,
 		met:      newServerMetrics(cfg.Obs),
-		now:      cfg.now,
-		started:  cfg.now(),
+		now:      cfg.Clock,
+		started:  cfg.Clock(),
 		stopEvic: make(chan struct{}),
 		admitSem: make(chan struct{}, cfg.MaxInflight),
 		breaker:  retry.NewBreaker(cfg.Breaker),

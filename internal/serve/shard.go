@@ -504,17 +504,17 @@ func (s *ShardServer) handleShardIngest(w http.ResponseWriter, r *http.Request) 
 	s.writeRaw(w, status, resp)
 }
 
-// handleShardIngestBatch admits a router-coalesced run of points in one
-// exchange. Foreign neighbor counts arrive precomputed (the router settled
-// them with one multi-probe support call per peer), so no support fan-out
-// happens here — the whole run commits under one window lock.
+// handleShardIngestBatch applies this shard's script of a router run in
+// one exchange. Foreign neighbour counts and the other shards' ±1s arrive
+// in the script (the router settled them with a read-only run probe), so
+// no support fan-out happens here — the whole script applies under one
+// window lock, or not at all.
 func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	topo := s.requireTopology(w, r)
-	if topo == nil {
+	if s.requireTopology(w, r) == nil {
 		return
 	}
 	body, err := s.readWireBody(w, r)
@@ -524,27 +524,24 @@ func (s *ShardServer) handleShardIngestBatch(w http.ResponseWriter, r *http.Requ
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
 	status, resp, ran := s.dedupe.do(reqID, s.met.dedupeHits, func() (int, []byte) {
-		hdr, items, err := router.DecodeIngestBatch(body)
+		hdr, ops, err := router.DecodeRun(body)
 		if err != nil {
 			s.met.wireErrors.Inc()
 			return http.StatusBadRequest, marshalJSON(router.IngestBatchResponse{Error: err.Error(), RequestID: reqID})
 		}
-		in := make([]stream.PrecountedAdmission, len(items))
-		for i, it := range items {
-			in[i] = stream.PrecountedAdmission{
-				Point: it.Point, Seq: it.Seq, Foreign: it.Foreign, CrossLater: it.CrossLater,
-			}
+		verdicts, err := s.sw.ApplyRun(ops, time.Unix(0, hdr.ArrivedNs))
+		if err != nil {
+			return http.StatusOK, marshalJSON(router.IngestBatchResponse{Error: err.Error(), RequestID: reqID})
 		}
-		verdicts, admitErrs := s.sw.AdmitBatch(in, time.Unix(0, hdr.ArrivedNs), s.owns(topo))
-		out := router.IngestBatchResponse{Results: make([]router.IngestResponse, len(items)), RequestID: reqID}
-		for i := range items {
-			if admitErrs[i] != nil {
-				out.Results[i] = router.IngestResponse{ID: items[i].Point.ID, Error: admitErrs[i].Error()}
-				continue
+		out := router.IngestBatchResponse{Neighbors: make([]int, len(verdicts)), RequestID: reqID}
+		for i, v := range verdicts {
+			out.Neighbors[i] = v.Neighbors
+		}
+		s.met.ingests.Add(int64(len(verdicts)))
+		for _, op := range ops {
+			if op.Kind == stream.RunEvict {
+				s.met.evicts.Inc()
 			}
-			v := verdicts[i]
-			out.Results[i] = router.IngestResponse{ID: v.ID, Seq: v.Seq, Neighbors: v.Neighbors, Outlier: v.Outlier}
-			s.met.ingests.Inc()
 		}
 		return http.StatusOK, marshalJSON(out)
 	})
@@ -597,17 +594,30 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := r.Header.Get(router.HeaderRequestID)
+	// DecodeSupportBatch subsumes the per-point form: a body from
+	// EncodeSupport parses as exactly one probe. Multi-probe bodies (chunked
+	// scoring) answer one count per probe plus the sum, in one round trip
+	// per peer instead of one per point. Probes against one shard are
+	// independent, so applying them in order equals applying them one RPC
+	// at a time. A run probe answers its counts and victims.
+	hdr, probes, runOps, err := router.DecodeSupportBatch(body)
+	if err != nil {
+		s.met.wireErrors.Inc()
+		s.writeRaw(w, http.StatusBadRequest, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID}))
+		return
+	}
 	serve := func() (int, []byte) {
-		// DecodeSupportBatch subsumes the per-point form: a body from
-		// EncodeSupport parses as exactly one probe. Multi-probe bodies
-		// (coalesced segment support, chunked scoring) answer one count per
-		// probe plus the sum, in one round trip per peer instead of one per
-		// point. Probes against one shard are independent, so applying them
-		// in order equals applying them one RPC at a time.
-		hdr, probes, err := router.DecodeSupportBatch(body)
-		if err != nil {
-			s.met.wireErrors.Inc()
-			return http.StatusBadRequest, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID})
+		if hdr.Run {
+			counts, victims, err := s.sw.ProbeRun(runOps)
+			if err != nil {
+				return http.StatusOK, marshalJSON(router.SupportResponse{Error: err.Error(), RequestID: reqID})
+			}
+			out := router.SupportResponse{Counts: counts, Victims: make([][]float64, len(victims)), RequestID: reqID}
+			for i, v := range victims {
+				out.Victims[i] = v.Coords
+			}
+			s.met.supportServed.Inc()
+			return http.StatusOK, marshalJSON(out)
 		}
 		total := 0
 		counts := make([]int, len(probes))
@@ -622,11 +632,9 @@ func (s *ShardServer) handleSupport(w http.ResponseWriter, r *http.Request) {
 		s.met.supportServed.Inc()
 		return http.StatusOK, marshalJSON(router.SupportResponse{Count: total, Counts: counts, RequestID: reqID})
 	}
-	// Read-only support (scoring) skips the idempotency cache; only
-	// delta-applying calls need exactly-once semantics. The delta lives in
-	// the sealed body, so peek cheaply: mutating callers always send a
-	// request ID, and scoring callers send none or delta 0.
-	if reqID == "" {
+	// Read-only support (scoring, run probes) skips the idempotency cache;
+	// only delta-applying calls need exactly-once semantics.
+	if reqID == "" || hdr.Run || hdr.Delta == 0 {
 		status, resp := serve()
 		s.writeRaw(w, status, resp)
 		return

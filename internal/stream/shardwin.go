@@ -39,7 +39,8 @@ type ShardWindow struct {
 	met *windowMetrics // nil when unobserved; shares dod_stream_* names
 
 	mu       sync.Mutex
-	rec      OpRecorder // nil when unreplicated
+	sc       *index.CountScratch // run neighbour walks; guarded by mu
+	rec      OpRecorder          // nil when unreplicated
 	entries  map[uint64]*entry
 	ingested uint64
 	evicted  uint64
@@ -54,9 +55,10 @@ type ShardWindow struct {
 // bit for bit. RecordSupport additionally mirrors the local half of a
 // mutation whose cross-shard phase failed after local deltas were applied
 // (Admit and EvictByID deliberately leak those deltas; the standby must
-// leak them identically).
+// leak them identically). ApplyRun records its script as exactly these
+// ops, one per entry, so replaying a run needs no op kind of its own.
 type OpRecorder interface {
-	RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign, crossLater int)
+	RecordAdmit(p geom.Point, seq uint64, arrivedNs int64, foreign int)
 	RecordEvict(id uint64)
 	RecordSupport(p geom.Point, cells [][]int64, delta int)
 	RecordImport(entries []ExportedEntry)
@@ -107,6 +109,7 @@ func NewShardWindow(cfg ShardConfig) (*ShardWindow, error) {
 	sw := &ShardWindow{
 		cfg:     cfg,
 		ix:      ix,
+		sc:      index.NewCountScratch(),
 		entries: make(map[uint64]*entry),
 	}
 	if reg := cfg.Obs; reg != nil {
@@ -217,11 +220,21 @@ func (sw *ShardWindow) Admit(p geom.Point, seq uint64, now time.Time, owns OwnsF
 		foreign = rn
 		n += rn
 	}
+	v, err := sw.insertLocked(p, seq, now, n, foreign)
+	if err != nil {
+		leakLocal()
+	}
+	return v, err
+}
+
+// insertLocked files p as the seq-th point with n neighbours already
+// counted, foreign of them on other shards, and records the admission.
+// Callers hold sw.mu.
+func (sw *ShardWindow) insertLocked(p geom.Point, seq uint64, now time.Time, n, foreign int) (Verdict, error) {
 	// One clone serves both the index and the entry: neither mutates
 	// coordinates, and Export clones again before anything leaves the lock.
 	pc := p.Clone()
 	if err := sw.ix.Insert(pc); err != nil {
-		leakLocal()
 		return Verdict{}, err
 	}
 	sw.ingested++
@@ -234,92 +247,9 @@ func (sw *ShardWindow) Admit(p geom.Point, seq uint64, now time.Time, owns OwnsF
 	}
 	sw.entries[p.ID] = e
 	if sw.rec != nil {
-		sw.rec.RecordAdmit(p, seq, now.UnixNano(), foreign, 0)
+		sw.rec.RecordAdmit(p, seq, now.UnixNano(), foreign)
 	}
 	return Verdict{ID: p.ID, Seq: seq, Neighbors: n, Outlier: e.outlier}, nil
-}
-
-// PrecountedAdmission is one admission of an AdmitBatch: the point, its
-// router-assigned global sequence number, its cross-shard neighbor count at
-// the admission instant (already settled by the router's coalesced support
-// probes), and how many LATER same-segment arrivals on other shards
-// neighbor it.
-type PrecountedAdmission struct {
-	Point      geom.Point
-	Seq        uint64
-	Foreign    int
-	CrossLater int
-}
-
-// AdmitBatch admits a run of points under one lock without issuing any
-// support calls: each point's foreign neighbor count arrives precomputed,
-// and the cross-shard +1s owed to a point by later same-segment arrivals
-// are folded in after the run. The result is bit-identical to admitting
-// the run through Admit with live support — local counts see earlier
-// same-owner arrivals because they are already in the index, foreign
-// counts arrive via Foreign, and the deferred +1s reproduce the exact flip
-// decisions because counts only grow within a run (each entry crosses K at
-// most once, whatever the order). Per-item failures leave their slot's
-// error set and the run continues, matching the router's per-line error
-// discipline.
-func (sw *ShardWindow) AdmitBatch(items []PrecountedAdmission, now time.Time, owns OwnsFunc) ([]Verdict, []error) {
-	verdicts := make([]Verdict, len(items))
-	errsOut := make([]error, len(items))
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	for i, it := range items {
-		if it.Point.Dim() != sw.cfg.Dim {
-			errsOut[i] = &errs.DimMismatchError{ID: it.Point.ID, Got: it.Point.Dim(), Want: sw.cfg.Dim}
-			continue
-		}
-		if _, dup := sw.entries[it.Point.ID]; dup {
-			errsOut[i] = &errs.DuplicateIDError{ID: it.Point.ID}
-			continue
-		}
-		local, _ := sw.splitCells(it.Point, owns)
-		n, err := sw.applyLocalDelta(it.Point, local, +1)
-		if err != nil {
-			errsOut[i] = err
-			continue
-		}
-		n += it.Foreign
-		pc := it.Point.Clone()
-		if err := sw.ix.Insert(pc); err != nil {
-			if sw.rec != nil && len(local) > 0 {
-				sw.rec.RecordSupport(it.Point, local, +1) // mirror the leaked local deltas
-			}
-			errsOut[i] = err
-			continue
-		}
-		sw.ingested++
-		if sw.met != nil {
-			sw.met.ingested.Inc()
-		}
-		e := &entry{pt: pc, seq: it.Seq, arrived: now, count: n, outlier: n < sw.cfg.K}
-		if e.outlier {
-			sw.outliers++
-		}
-		sw.entries[it.Point.ID] = e
-		// Recording the item's CrossLater with the admission lets the standby
-		// replay the run one item at a time, folding each item's deferred +1s
-		// immediately: counts only grow within a run, so each entry crosses K
-		// at most once whatever the interleaving — final counts, verdicts and
-		// flip totals are identical to the primary's batch-then-fold order.
-		if sw.rec != nil {
-			sw.rec.RecordAdmit(it.Point, it.Seq, now.UnixNano(), it.Foreign, it.CrossLater)
-		}
-		verdicts[i] = Verdict{ID: it.Point.ID, Seq: it.Seq, Neighbors: n, Outlier: e.outlier}
-	}
-	for i, it := range items {
-		if errsOut[i] != nil || it.CrossLater == 0 {
-			continue
-		}
-		e := sw.entries[it.Point.ID]
-		for k := 0; k < it.CrossLater; k++ {
-			sw.bump(e, +1)
-		}
-	}
-	return verdicts, errsOut
 }
 
 // EvictByID expires the resident point with the given ID: its local
@@ -345,8 +275,15 @@ func (sw *ShardWindow) EvictByID(id uint64, owns OwnsFunc, support SupportFunc) 
 			return false, err
 		}
 	}
+	sw.removeLocked(victim)
+	return true, nil
+}
+
+// removeLocked drops a resident whose neighbours have already lost their
+// count, and records the eviction. Callers hold sw.mu.
+func (sw *ShardWindow) removeLocked(victim *entry) {
 	sw.ix.Remove(victim.pt)
-	delete(sw.entries, id)
+	delete(sw.entries, victim.pt.ID)
 	if victim.outlier {
 		sw.outliers--
 	}
@@ -355,9 +292,8 @@ func (sw *ShardWindow) EvictByID(id uint64, owns OwnsFunc, support SupportFunc) 
 		sw.met.evicted.Inc()
 	}
 	if sw.rec != nil {
-		sw.rec.RecordEvict(id)
+		sw.rec.RecordEvict(victim.pt.ID)
 	}
-	return true, nil
 }
 
 // ApplySupport serves one boundary-support request from a peer shard (or a

@@ -10,7 +10,7 @@
 //	dodbench -json - -cpuprofile cpu.pprof
 //	dodbench -parcheck -parcheck-min 2  # gate: parallel kernel >= 2x sequential
 //	dodbench -servecheck -servecheck-min 2  # gate: fast wire path >= 2x legacy
-//	dodbench -servecheck -servecheck-max-rpcs 20  # gate: steady-state sharded support RPCs per 1k
+//	dodbench -servecheck -servecheck-max-rpcs 20  # gate: sharded support RPCs per 1k ingested / scored lines
 //
 // Larger -segment-n / -base-n values reduce the laptop-scale artifacts
 // discussed in EXPERIMENTS.md at the price of longer runs.
@@ -82,7 +82,7 @@ func main() {
 	serveCheckMin := flag.Float64("servecheck-min", 0, "minimum fast/legacy ingest throughput ratio for -servecheck")
 	serveCheckAllocs := flag.Float64("servecheck-allocs", 0, "maximum whole-process allocations per ingested line for -servecheck (0 disables)")
 	serveCheckN := flag.Int("servecheck-n", 6000, "dataset size for -servecheck")
-	serveCheckRPCs := flag.Float64("servecheck-max-rpcs", 0, "maximum steady-state support RPCs per 1000 ingested lines on -servecheck's sharded evicting cell (0 disables)")
+	serveCheckRPCs := flag.Float64("servecheck-max-rpcs", 0, "maximum steady-state support RPCs per 1000 ingested lines, and per 1000 scored lines, on -servecheck's sharded evicting cell (0 disables)")
 	graphCheck := flag.Bool("graphcheck", false, "verify the Prox-Graph tactic answers byte-identically to BruteForce on fixed seeds (low- and high-dimensional, sequential and tiled) and exit nonzero on the first divergence")
 	graphCheckN := flag.Int("graphcheck-n", 2500, "dataset size for -graphcheck")
 	approx := flag.Bool("approx", false, "allow approximate detector candidates (e.g. Sens-Sample) in figure runs")

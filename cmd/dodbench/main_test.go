@@ -174,5 +174,8 @@ func TestMeasureServe(t *testing.T) {
 		if r.Tier == "sharded" && r.Mode == "fast" && r.Evicting && r.SupportRPCsPer1k > 20 {
 			t.Errorf("evicting run protocol: %.1f support RPCs per 1k lines", r.SupportRPCsPer1k)
 		}
+		if r.Tier == "sharded" && r.Mode == "fast" && (r.ScoreSupportRPCsPer1k <= 0 || r.ScoreSupportRPCsPer1k > 20) {
+			t.Errorf("one-wave score: %.1f support RPCs per 1k scored lines", r.ScoreSupportRPCsPer1k)
+		}
 	}
 }

@@ -54,6 +54,9 @@ type serveRecord struct {
 	// ingested points, summed across the router and every shard (sharded
 	// tier only).
 	SupportRPCsPer1k float64 `json:"support_rpcs_per_1k,omitempty"`
+	// ScoreSupportRPCsPer1k counts the same round trips per 1000 scored
+	// points (sharded tier only).
+	ScoreSupportRPCsPer1k float64 `json:"score_support_rpcs_per_1k,omitempty"`
 }
 
 // serveSection is the benchFile's serving-tier section.
@@ -172,7 +175,7 @@ func (c serveCell) windowCapacity() int {
 // run ingests the cell's stream into url, then scores the whole stream
 // against the final window, and returns the record with digests of the
 // ingest and score streams. between, if set, is called after the untimed
-// fill and after the timed ingest (support RPC accounting).
+// fill, after the timed ingest and after scoring (support RPC accounting).
 func (c serveCell) run(url, tier string, between func()) (serveRecord, uint64, uint64, error) {
 	ingestSum, scoreSum := newSum(), newSum()
 	timed := c.pts
@@ -195,6 +198,9 @@ func (c serveCell) run(url, tier string, between func()) (serveRecord, uint64, u
 	scoreWall, _, err := postAll(url+"/v1/score", ndjsonBatches(c.pts, c.batchLines), scoreSum)
 	if err != nil {
 		return serveRecord{}, 0, 0, err
+	}
+	if between != nil {
+		between()
 	}
 	mode := "fast"
 	if c.legacy {
@@ -277,6 +283,7 @@ func measureServeSharded(c serveCell, shards int) (serveRecord, uint64, uint64, 
 	})
 	if err == nil {
 		rec.SupportRPCsPer1k = float64(rpcs[1]-rpcs[0]) / (float64(rec.Lines) / 1000)
+		rec.ScoreSupportRPCsPer1k = float64(rpcs[2]-rpcs[1]) / (float64(len(c.pts)) / 1000)
 	}
 	return rec, ih, sh, err
 }
@@ -349,7 +356,7 @@ func measureServe(cfg benchRunConfig) (serveSection, error) {
 // evicting window (capacity n/4, filled before timing) the run protocol
 // must answer the bytes of the per-point NoCoalesce/LegacyWire wiring and,
 // when maxRPCs > 0, issue at most maxRPCs support round trips per 1000
-// steady-state ingested lines.
+// steady-state ingested lines and per 1000 scored lines.
 func runServeCheck(n int, minSpeedup, maxAllocs, maxRPCs float64) error {
 	pts := serveBenchPoints(n)
 	fast, legacy, match, err := servePair(serveCell{pts: pts, batchLines: 1000, capacity: n + 1}, measureServeSingle)
@@ -374,13 +381,17 @@ func runServeCheck(n int, minSpeedup, maxAllocs, maxRPCs float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dodbench: servecheck sharded evicting n=%d capacity=%d runs=%.0f pts/s per-point=%.0f pts/s support-rpcs/1k=%.1f (per-point %.1f) max-rpcs=%.1f\n",
-		n, n/4, shardFast.IngestPtsPerSec, shardLegacy.IngestPtsPerSec, shardFast.SupportRPCsPer1k, shardLegacy.SupportRPCsPer1k, maxRPCs)
+	fmt.Printf("dodbench: servecheck sharded evicting n=%d capacity=%d runs=%.0f pts/s per-point=%.0f pts/s support-rpcs/1k=%.1f (per-point %.1f) score-rpcs/1k=%.1f (per-line %.1f) max-rpcs=%.1f\n",
+		n, n/4, shardFast.IngestPtsPerSec, shardLegacy.IngestPtsPerSec, shardFast.SupportRPCsPer1k, shardLegacy.SupportRPCsPer1k,
+		shardFast.ScoreSupportRPCsPer1k, shardLegacy.ScoreSupportRPCsPer1k, maxRPCs)
 	if !match {
 		return fmt.Errorf("servecheck: the sharded run protocol and the per-point wiring answered different streams")
 	}
 	if maxRPCs > 0 && shardFast.SupportRPCsPer1k > maxRPCs {
 		return fmt.Errorf("servecheck: %.1f steady-state support RPCs per 1k ingested lines exceeds maximum %.1f", shardFast.SupportRPCsPer1k, maxRPCs)
+	}
+	if maxRPCs > 0 && shardFast.ScoreSupportRPCsPer1k > maxRPCs {
+		return fmt.Errorf("servecheck: %.1f support RPCs per 1k scored lines exceeds maximum %.1f", shardFast.ScoreSupportRPCsPer1k, maxRPCs)
 	}
 	return nil
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,14 +72,18 @@ type runStage struct {
 	added  map[uint64]bool // staged admissions
 	cursor int             // next FIFO slot an eviction would take
 	admits int
+	nb     nbScratch
 }
 
+// reset starts the next run. The previous run's cells are dead once it has
+// settled, so their store is reused.
 func (st *runStage) reset(head int) {
 	st.ops = st.ops[:0]
 	clear(st.gone)
 	clear(st.added)
 	st.cursor = head
 	st.admits = 0
+	st.nb.cells = st.nb.cells[:0]
 }
 
 // resident reports whether id is in the window as staged so far.
@@ -120,12 +127,15 @@ func (rt *Router) ingestRunsLocked(ctx context.Context, topo *Topology, now time
 	st := &runStage{gone: map[uint64]bool{}, added: map[uint64]bool{}, cursor: rt.head}
 	evicted := make([]int, len(items)) // evictions applied for each line
 	runs := 0
+	staged := time.Now() // the current run's staging began
 	settle := func() {
 		if len(st.ops) > 0 {
+			since(rt.met.stageTime.stage, staged)
 			rt.settleRunLocked(ctx, topo, now, fmt.Sprintf("%s|run%d", reqID, runs), st, evicted, out)
 			runs++
 		}
 		st.reset(rt.head)
+		staged = time.Now()
 	}
 	horizonNs := now.Add(-rt.cfg.TTL).UnixNano()
 	lineErr := func(i int, id uint64, err error) {
@@ -187,13 +197,105 @@ func cellKey(scratch []byte, c []int64) []byte {
 	return scratch
 }
 
-// neighbourhood groups the cells of p's L2 neighbourhood that shards other
-// than owner own, by owner.
-func (rt *Router) neighbourhood(topo *Topology, cell []int64, owner string) []peerCells {
+// nbScratch is the reusable state of neighbourhood calls within one run or
+// score request: the block-owner memo of the op being resolved, and the
+// flat store the peer cells handed out are copied into.
+type nbScratch struct {
+	edge   []int64  // the cube's lowest cell, per dimension
+	lo     []int64  // the first block the cube overlaps, per dimension
+	span   []int    // how many blocks the cube overlaps, per dimension
+	owners []string // owner of each overlapped block, row-major
+	rep    []int64  // a cell of the block being resolved
+	cells  []int64  // backing store of the cells handed out
+}
+
+// cellChunk is how many coordinates one backing chunk of nbScratch.cells
+// holds: a few hundred boundary cells, so a run allocates a handful of
+// chunks instead of one slice per cell.
+const cellChunk = 4096
+
+// resolveBlocks memoises the owner of every block that the L2 cube around
+// cell overlaps, one Topology.Owner call per block, and reports whether any
+// of them is owned by a shard other than owner. Ownership only changes at
+// block edges, so the cube's cells need no lookups of their own. The cube
+// is clipped to the representable cell space, as index.RingCells clips it.
+func (s *nbScratch) resolveBlocks(topo *Topology, l2 int, cell []int64, owner string) bool {
+	topo.init()
+	b, r := int64(topo.Block), int64(l2)
+	s.edge, s.lo, s.span = s.edge[:0], s.lo[:0], s.span[:0]
+	n := 1
+	for _, c := range cell {
+		lo, hi := c-r, c+r
+		if c < math.MinInt64+r {
+			lo = math.MinInt64
+		}
+		if c > math.MaxInt64-r {
+			hi = math.MaxInt64
+		}
+		first := floorDiv(lo, b)
+		span := int(floorDiv(hi, b)-first) + 1
+		s.edge, s.lo, s.span = append(s.edge, lo), append(s.lo, first), append(s.span, span)
+		n *= span
+	}
+	s.rep = append(s.rep[:0], cell...) // sized like cell; set per block below
+	s.owners = s.owners[:0]
+	foreign := false
+	for f := 0; f < n; f++ {
+		// Block f's first cell inside the cube: the cube's edge in the first
+		// block of a dimension, the block's own first cell after it (which
+		// lies between the two cube edges, so it cannot overflow).
+		rem := f
+		for i := len(cell) - 1; i >= 0; i-- {
+			k := rem % s.span[i]
+			rem /= s.span[i]
+			if k == 0 {
+				s.rep[i] = s.edge[i]
+			} else {
+				s.rep[i] = (s.lo[i] + int64(k)) * b
+			}
+		}
+		o := topo.Owner(s.rep)
+		s.owners = append(s.owners, o)
+		foreign = foreign || o != owner
+	}
+	return foreign
+}
+
+// blockOwner returns the memoised owner of a cell inside the cube last
+// resolved.
+func (s *nbScratch) blockOwner(topo *Topology, c []int64) string {
+	b := int64(topo.Block)
+	f := 0
+	for i, v := range c {
+		f = f*s.span[i] + int(floorDiv(v, b)-s.lo[i])
+	}
+	return s.owners[f]
+}
+
+// keep copies c into the flat cell store.
+func (s *nbScratch) keep(c []int64) []int64 {
+	if cap(s.cells)-len(s.cells) < len(c) {
+		s.cells = make([]int64, 0, max(cellChunk, len(c)))
+	}
+	n := len(s.cells)
+	s.cells = append(s.cells, c...)
+	return s.cells[n : n+len(c) : n+len(c)]
+}
+
+// neighbourhood groups the cells of the L2 neighbourhood around cell that
+// shards other than owner own, by owner in order of first appearance, each
+// owner's cells in index.RingCells order (radius 0 to l2). It resolves
+// owners per block, and returns nil without enumerating a cell when owner
+// owns every block the neighbourhood touches. An owner no shard has ("")
+// groups the whole neighbourhood.
+func neighbourhood(topo *Topology, l2 int, cell []int64, owner string, s *nbScratch) []peerCells {
+	if !s.resolveBlocks(topo, l2, cell, owner) {
+		return nil
+	}
 	var out []peerCells
-	for radius := 0; radius <= rt.l2; radius++ {
+	for radius := 0; radius <= l2; radius++ {
 		index.RingCells(cell, radius, func(c []int64) {
-			o := topo.Owner(c)
+			o := s.blockOwner(topo, c)
 			if o == owner {
 				return // the owning shard walks its own cells
 			}
@@ -204,10 +306,24 @@ func (rt *Router) neighbourhood(topo *Topology, cell []int64, owner string) []pe
 			if k == len(out) {
 				out = append(out, peerCells{owner: o})
 			}
-			out[k].cells = append(out[k].cells, append([]int64(nil), c...))
+			out[k].cells = append(out[k].cells, s.keep(c))
 		})
 	}
 	return out
+}
+
+// chebyshev is the Chebyshev distance between two cells of one
+// neighbourhood.
+func chebyshev(a, b []int64) int {
+	m := int64(0)
+	for i := range a {
+		d := a[i] - b[i]
+		if d < 0 {
+			d = -d
+		}
+		m = max(m, d)
+	}
+	return int(m)
 }
 
 // shardRun is one shard's share of a run: its wave-one probe and wave-two
@@ -222,7 +338,8 @@ type shardRun struct {
 	applied  IngestBatchResponse
 }
 
-func sortedNames(shards map[string]*shardRun) []string {
+// sortedKeys returns a shard-keyed map's names in order.
+func sortedKeys[V any](shards map[string]V) []string {
 	names := make([]string, 0, len(shards))
 	for name := range shards {
 		names = append(names, name)
@@ -233,11 +350,10 @@ func sortedNames(shards map[string]*shardRun) []string {
 
 // wave issues call once per named shard, concurrently, and returns each
 // shard's error.
-func (rt *Router) wave(label string, names []string, call func(name string) error) []error {
+func wave(names []string, call func(name string) error) []error {
 	errsOut := make([]error, len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
-		rt.met.waveRPCs[label].Inc()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -251,6 +367,7 @@ func (rt *Router) wave(label string, names []string, call func(name string) erro
 // settleRunLocked settles one staged run in its two waves and commits what
 // the shards applied to the router's window bookkeeping. Callers hold rt.mu.
 func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.Time, key string, st *runStage, evicted []int, out []verdictLine) {
+	t := time.Now()
 	ops := st.ops
 	shards := map[string]*shardRun{}
 	get := func(name string) *shardRun {
@@ -270,7 +387,7 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 			sr.victimOf = append(sr.victimOf, j)
 			continue
 		}
-		nb[j] = rt.neighbourhood(topo, op.cell, op.owner)
+		nb[j] = neighbourhood(topo, rt.l2, op.cell, op.owner, &st.nb)
 		for _, pc := range nb[j] {
 			sr := get(pc.owner)
 			sr.probe = append(sr.probe, stream.RunOp{Kind: stream.RunSupport, Point: op.pt, Cells: pc.cells})
@@ -279,8 +396,9 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 	}
 
 	// Wave one: read-only probes.
-	errs1 := rt.wave("1", sortedNames(shards), func(name string) error {
+	errs1 := wave(sortedKeys(shards), func(name string) error {
 		sr := shards[name]
+		rt.met.waveRPCs["1"].Inc()
 		rt.met.supportRPCs.Inc()
 		if err := rt.callShard(ctx, topo, name, PathSupport, key+"|p|"+name, EncodeRunProbe(sr.probe), &sr.probed); err != nil {
 			return fmt.Errorf("shard %s unavailable: %v", name, err)
@@ -300,6 +418,7 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 		}
 		return nil
 	})
+	t = since(rt.met.stageTime.wave1, t)
 	for _, err := range errs1 {
 		if err == nil {
 			continue
@@ -316,7 +435,10 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 	// Foreign counts: pre-run residents from the probes, plus the run's own
 	// earlier admissions on other shards, found by the index's acceptance
 	// rule — cells within Chebyshev distance 1 accept outright, farther
-	// cells need the exact distance check.
+	// cells need the exact distance check. Such a pair sits in one of the
+	// later admission's peer cells, and the earlier admission, whose own
+	// neighbourhood then holds a peer cell too, is a boundary op: only
+	// boundary admissions are bucketed, and only peer cells are looked up.
 	foreign := make([]int, len(ops))
 	for _, sr := range shards {
 		for k, j := range sr.countOf {
@@ -326,33 +448,32 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 			ops[j].pt = geom.Point{ID: ops[j].id, Coords: sr.probed.Victims[k]}
 		}
 	}
-	buckets := map[string][]int{} // cell -> admissions in run order
+	buckets := map[string][]int{} // cell -> boundary admissions in run order
 	var kscratch []byte
 	for j, op := range ops {
-		if !op.evict {
+		if len(nb[j]) > 0 {
 			kscratch = cellKey(kscratch, op.cell)
 			buckets[string(kscratch)] = append(buckets[string(kscratch)], j)
 		}
 	}
 	for q := range ops {
 		oq := &ops[q]
-		if oq.evict {
-			continue
-		}
-		for radius := 0; radius <= rt.l2; radius++ {
-			index.RingCells(oq.cell, radius, func(c []int64) {
+		for _, pc := range nb[q] {
+			for _, c := range pc.cells {
 				kscratch = cellKey(kscratch, c)
+				radius := chebyshev(c, oq.cell)
 				for _, i := range buckets[string(kscratch)] {
 					if i >= q {
 						break
 					}
-					if ops[i].owner != oq.owner && (radius <= 1 || geom.WithinDist(ops[i].pt, oq.pt, rt.cfg.R)) {
+					if radius <= 1 || geom.WithinDist(ops[i].pt, oq.pt, rt.cfg.R) {
 						foreign[q]++
 					}
 				}
-			})
+			}
 		}
 	}
+	t = since(rt.met.stageTime.pairwise, t)
 
 	// Wave two: one seq-ordered script per shard.
 	for j := range ops {
@@ -361,7 +482,7 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 		own := get(op.owner)
 		if op.evict {
 			delta = -1
-			nb[j] = rt.neighbourhood(topo, op.cell, op.owner)
+			nb[j] = neighbourhood(topo, rt.l2, op.cell, op.owner, &st.nb)
 			own.script = append(own.script, stream.RunOp{Kind: stream.RunEvict, ID: op.id})
 		} else {
 			own.script = append(own.script, stream.RunOp{Kind: stream.RunAdmit, Point: op.pt, Seq: op.seq, Foreign: foreign[j]})
@@ -372,10 +493,11 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 			sr.script = append(sr.script, stream.RunOp{Kind: stream.RunSupport, Point: op.pt, Cells: pc.cells, Delta: delta})
 		}
 	}
-	names := sortedNames(shards)
+	names := sortedKeys(shards)
 	arrivedNs := now.UnixNano()
-	errs2 := rt.wave("2", names, func(name string) error {
+	errs2 := wave(names, func(name string) error {
 		sr := shards[name]
+		rt.met.waveRPCs["2"].Inc()
 		body := EncodeRun(RunHeader{ArrivedNs: arrivedNs, Count: len(sr.script)}, sr.script)
 		if err := rt.callShard(ctx, topo, name, PathShardIngestBatch, key+"|"+name, body, &sr.applied); err != nil {
 			return fmt.Errorf("shard %s unavailable: %v", name, err)
@@ -388,6 +510,7 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 		}
 		return nil
 	})
+	t = since(rt.met.stageTime.wave2, t)
 	failed := map[string]error{}
 	for i, err := range errs2 {
 		if err != nil {
@@ -436,22 +559,29 @@ func (rt *Router) settleRunLocked(ctx context.Context, topo *Topology, now time.
 		}
 	}
 	rt.seq += uint64(st.admits)
+	since(rt.met.stageTime.commit, t)
 }
 
-// scoreChunk scores lines [lo, hi) with one read-only support RPC per
-// owning shard for the whole chunk, then replays the per-line sequential
-// accumulation — sorted owners, stop at K, breaker-open shards skipped —
-// so every line answers exactly what the per-line protocol would have.
-func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo, hi int, out []scoreLine) {
+// scoreBatch scores a whole request in one wave: one read-only support
+// RPC per owning shard for every line, the calls concurrent. It then
+// replays the per-line sequential accumulation — sorted owners, stop at K,
+// breaker-open shards skipped — so every line answers exactly what the
+// per-line protocol (scoreOne) would have.
+func (rt *Router) scoreBatch(ctx context.Context, items []httpapi.BatchItem, out []scoreLine) {
 	topo := rt.topology()
-	type probeSet struct {
-		probes []SupportProbe
-		lines  []int
+	type ownerProbes struct {
+		body  supportBatch
+		slots []int // each probe's slot in counts
+		err   error
 	}
-	perOwner := map[string]*probeSet{}
-	ownersOf := make([][]string, hi-lo)
-	for i := lo; i < hi; i++ {
-		it := items[i]
+	perOwner := map[string]*ownerProbes{}
+	// Line i asks owners[first[i]:first[i+1]], sorted; each answer lands
+	// in the same slot of counts. Lines answered up front ask nobody.
+	first := make([]int, len(items)+1)
+	var owners []string
+	var s nbScratch
+	for i, it := range items {
+		first[i+1] = len(owners)
 		if it.Err != nil {
 			out[i] = scoreLine{ID: it.Pt.ID, Error: it.Err.Error()}
 			rt.met.lineErrors.Inc()
@@ -464,105 +594,76 @@ func (rt *Router) scoreChunk(ctx context.Context, items []httpapi.BatchItem, lo,
 			rt.met.lineErrors.Inc()
 			continue
 		}
-		center := topo.CellOf(it.Pt.Coords)
-		byOwner := map[string][][]int64{}
-		for radius := 0; radius <= rt.l2; radius++ {
-			index.RingCells(center, radius, func(c []int64) {
-				cc := append([]int64(nil), c...)
-				o := topo.Owner(cc)
-				byOwner[o] = append(byOwner[o], cc)
-			})
-		}
-		owners := make([]string, 0, len(byOwner))
-		for o := range byOwner {
-			owners = append(owners, o)
-		}
-		sort.Strings(owners)
-		ownersOf[i-lo] = owners
-		for _, o := range owners {
-			ps := perOwner[o]
-			if ps == nil {
-				ps = &probeSet{}
-				perOwner[o] = ps
+		nb := neighbourhood(topo, rt.l2, topo.CellOf(it.Pt.Coords), "", &s)
+		slices.SortFunc(nb, func(a, b peerCells) int { return strings.Compare(a.owner, b.owner) })
+		for _, pc := range nb {
+			op := perOwner[pc.owner]
+			if op == nil {
+				op = &ownerProbes{body: newSupportBatch(SupportHeader{Delta: 0, Limit: rt.cfg.K})}
+				perOwner[pc.owner] = op
 			}
-			ps.probes = append(ps.probes, SupportProbe{Point: it.Pt, Cells: byOwner[o]})
-			ps.lines = append(ps.lines, i)
+			op.body.add(it.Pt, pc.cells)
+			op.slots = append(op.slots, len(owners))
+			owners = append(owners, pc.owner)
+		}
+		first[i+1] = len(owners)
+		s.cells = s.cells[:0] // the line's cells are encoded; reuse their store
+	}
+	// A shard whose breaker is open is not called: its slots stay 0, so the
+	// lines degrade to what the healthy shards can see.
+	counts := make([]int, len(owners))
+	var calls []string
+	for _, o := range sortedKeys(perOwner) {
+		if rt.breaker(o).State() != retry.BreakerOpen {
+			calls = append(calls, o)
 		}
 	}
-	type ownerResult struct {
-		open   bool
-		errMsg string
-	}
-	results := map[string]*ownerResult{}
-	lineCounts := make([]map[string]int, hi-lo)
-	allOwners := make([]string, 0, len(perOwner))
-	for o := range perOwner {
-		allOwners = append(allOwners, o)
-	}
-	sort.Strings(allOwners)
-	for _, o := range allOwners {
-		ps := perOwner[o]
-		res := &ownerResult{}
-		results[o] = res
-		if rt.breaker(o).State() == retry.BreakerOpen {
-			res.open = true // degraded: count what the healthy shards can see
-			continue
-		}
-		body := EncodeSupportBatch(SupportHeader{Delta: 0, Limit: rt.cfg.K}, ps.probes)
+	errsOut := wave(calls, func(o string) error {
+		op := perOwner[o]
 		var resp SupportResponse
 		rt.met.supportRPCs.Inc()
-		if err := rt.callShard(ctx, topo, o, PathSupport, "", body, &resp); err != nil {
-			res.errMsg = fmt.Sprintf("shard %s unavailable: %v", o, err)
-			continue
+		if err := rt.callShard(ctx, topo, o, PathSupport, "", op.body.seal(), &resp); err != nil {
+			return fmt.Errorf("shard %s unavailable: %v", o, err)
 		}
 		if resp.Error != "" {
-			res.errMsg = resp.Error
-			continue
+			return fmt.Errorf("%s", resp.Error)
 		}
-		if len(resp.Counts) != len(ps.probes) {
-			res.errMsg = fmt.Sprintf("shard %s: support answered %d counts for %d probes", o, len(resp.Counts), len(ps.probes))
-			continue
+		if len(resp.Counts) != len(op.slots) {
+			return fmt.Errorf("shard %s: support answered %d counts for %d probes", o, len(resp.Counts), len(op.slots))
 		}
-		for idx, j := range ps.lines {
-			if lineCounts[j-lo] == nil {
-				lineCounts[j-lo] = map[string]int{}
-			}
-			lineCounts[j-lo][o] = resp.Counts[idx]
+		for k, slot := range op.slots {
+			counts[slot] = resp.Counts[k] // each owner writes only its own slots
 		}
+		return nil
+	})
+	for k, o := range calls {
+		perOwner[o].err = errsOut[k]
 	}
 	// Replay: each per-owner capped count equals what a per-line call would
 	// have returned, so accumulating them in the same sorted order — with
 	// the same early stop at K — reproduces the per-line verdicts; an
 	// unreachable owner only errors the lines that would have reached it.
-	for i := lo; i < hi; i++ {
-		owners := ownersOf[i-lo]
-		if owners == nil {
+	for i := range items {
+		if first[i] == first[i+1] {
 			continue // already answered (parse error or dimension mismatch)
 		}
 		total := 0
-		errMsg := ""
-		for _, o := range owners {
-			res := results[o]
-			if res.open {
-				continue
-			}
-			if res.errMsg != "" {
-				errMsg = res.errMsg
+		var err error
+		for slot := first[i]; slot < first[i+1]; slot++ {
+			if err = perOwner[owners[slot]].err; err != nil {
 				break
 			}
-			total += lineCounts[i-lo][o]
+			total += counts[slot]
 			if total >= rt.cfg.K {
 				break // already an inlier; min(total, K) is decided
 			}
 		}
-		if errMsg != "" {
+		if err != nil {
 			rt.met.lineErrors.Inc()
-			out[i] = scoreLine{ID: items[i].Pt.ID, Error: errMsg}
+			out[i] = scoreLine{ID: items[i].Pt.ID, Error: err.Error()}
 			continue
 		}
-		if total > rt.cfg.K {
-			total = rt.cfg.K
-		}
+		total = min(total, rt.cfg.K)
 		out[i] = scoreLine{ID: items[i].Pt.ID, Neighbors: total, Outlier: total < rt.cfg.K}
 	}
 }

@@ -1,12 +1,17 @@
 package router
 
-import "dod/internal/obs"
+import (
+	"time"
+
+	"dod/internal/obs"
+)
 
 // routerMetrics are the dod_route_* instruments: the router's own request
 // traffic, its shard call fan-out (with retry visibility — the first sign
 // of a struggling shard), eviction/drain churn, tenant-level rejections,
 // how long each ingest batch holds the global window lock, and the RPCs
-// of each wave of the run protocol.
+// of each wave of the run protocol; per-request latency and, per run, the
+// time each stage of the run protocol takes.
 type routerMetrics struct {
 	ingestReqs   *obs.Counter
 	scoreReqs    *obs.Counter
@@ -28,6 +33,18 @@ type routerMetrics struct {
 	forcedLoss   *obs.Counter
 	lockHold     *obs.Histogram
 	waveRPCs     map[string]*obs.Counter // by wave: "1", "2"
+	ingestTime   *obs.Histogram
+	scoreTime    *obs.Histogram
+	stageTime    runStageTimes
+}
+
+// runStageTimes are the dod_route_stage_seconds histograms, each observed
+// once per settled run: staging its ops under rt.mu, wave one (resolving
+// the admissions' neighbourhoods and the probe RPCs), the pairwise pass,
+// wave two (scripts and their RPCs), and committing to the router's
+// window.
+type runStageTimes struct {
+	stage, wave1, pairwise, wave2, commit *obs.Histogram
 }
 
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {
@@ -55,5 +72,27 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 			"1": reg.Counter("dod_route_wave_rpcs_total", "run protocol shard RPCs by wave", obs.L("wave", "1")),
 			"2": reg.Counter("dod_route_wave_rpcs_total", "run protocol shard RPCs by wave", obs.L("wave", "2")),
 		},
+		ingestTime: reg.Histogram("dod_route_request_seconds", requestHelp, nil, obs.L("endpoint", "ingest")),
+		scoreTime:  reg.Histogram("dod_route_request_seconds", requestHelp, nil, obs.L("endpoint", "score")),
+		stageTime: runStageTimes{
+			stage:    reg.Histogram("dod_route_stage_seconds", stageHelp, nil, obs.L("stage", "stage")),
+			wave1:    reg.Histogram("dod_route_stage_seconds", stageHelp, nil, obs.L("stage", "wave1")),
+			pairwise: reg.Histogram("dod_route_stage_seconds", stageHelp, nil, obs.L("stage", "pairwise")),
+			wave2:    reg.Histogram("dod_route_stage_seconds", stageHelp, nil, obs.L("stage", "wave2")),
+			commit:   reg.Histogram("dod_route_stage_seconds", stageHelp, nil, obs.L("stage", "commit")),
+		},
 	}
+}
+
+const (
+	requestHelp = "router request latency, from handler entry to the response written"
+	stageHelp   = "time one ingest run spends in each stage of the run protocol"
+)
+
+// since observes the seconds elapsed from start in h and returns the
+// current time, the next stage's start.
+func since(h *obs.Histogram, start time.Time) time.Time {
+	now := time.Now()
+	h.Observe(now.Sub(start).Seconds())
+	return now
 }

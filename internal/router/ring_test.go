@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
@@ -169,6 +170,24 @@ func TestWireRoundTrips(t *testing.T) {
 				t.Fatalf("cell %d mismatch: %v != %v", i, gotCells[i], cells[i])
 			}
 		}
+	}
+
+	one := newSupportBatch(SupportHeader{Delta: -1, Limit: 5})
+	one.add(p, cells)
+	if !bytes.Equal(one.seal(), sb) {
+		t.Fatal("a one-probe support batch differs from EncodeSupport's body")
+	}
+	q := geom.Point{ID: 43, Coords: []float64{0, 1}}
+	two := newSupportBatch(SupportHeader{Limit: 3})
+	two.add(p, cells)
+	two.add(q, cells[:1])
+	bhdr, probes, _, err := DecodeSupportBatch(two.seal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bhdr.Limit != 3 || len(probes) != 2 || !probes[0].Point.Equal(p) || !probes[1].Point.Equal(q) ||
+		!reflect.DeepEqual(probes[0].Cells, cells) || !reflect.DeepEqual(probes[1].Cells, cells[:1]) {
+		t.Fatalf("support batch round-trip mismatch: %+v %+v", bhdr, probes)
 	}
 
 	entries := []Entry{

@@ -543,6 +543,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.met.ingestReqs.Inc()
+	defer since(rt.met.ingestTime, time.Now())
 	if !rt.admitTenant(w, r) {
 		return
 	}
@@ -715,6 +716,7 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.met.scoreReqs.Inc()
+	defer since(rt.met.scoreTime, time.Now())
 	if !rt.admitTenant(w, r) {
 		return
 	}
@@ -728,9 +730,21 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	items := batch.Items
 	out := httpapi.GetScores(len(items))
 	defer httpapi.PutScores(out)
-	// Scoring is read-only: fan the batch out in contiguous chunks. Each
-	// chunk coalesces its probes into one support RPC per owning shard
-	// (scoreChunk) unless NoCoalesce asks for the per-line protocol.
+	if rt.cfg.NoCoalesce {
+		rt.scorePerLine(r.Context(), items, out)
+	} else {
+		rt.scoreBatch(r.Context(), items, out)
+	}
+	if rt.cfg.LegacyWire {
+		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })
+		return
+	}
+	httpapi.WriteScores(w, out)
+}
+
+// scorePerLine is the per-line score protocol: the batch fanned out in
+// contiguous chunks, each line scored by scoreOne.
+func (rt *Router) scorePerLine(ctx context.Context, items []httpapi.BatchItem, out []scoreLine) {
 	const chunk = 64
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(items); lo += chunk {
@@ -741,10 +755,6 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			if !rt.cfg.NoCoalesce {
-				rt.scoreChunk(r.Context(), items, lo, hi, out)
-				return
-			}
 			for i := lo; i < hi; i++ {
 				it := items[i]
 				if it.Err != nil {
@@ -753,16 +763,11 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 				rt.met.scoreLines.Inc()
-				out[i] = rt.scoreOne(r.Context(), it.Pt)
+				out[i] = rt.scoreOne(ctx, it.Pt)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	if rt.cfg.LegacyWire {
-		writeNDJSON(w, len(out), func(enc *json.Encoder, i int) error { return enc.Encode(out[i]) })
-		return
-	}
-	httpapi.WriteScores(w, out)
 }
 
 // scoreOne scores one probe point: its neighborhood cells are grouped by
@@ -777,15 +782,7 @@ func (rt *Router) scoreOne(ctx context.Context, pt geom.Point) scoreLine {
 		return scoreLine{ID: pt.ID, Error: err.Error()}
 	}
 	topo := rt.topology()
-	center := topo.CellOf(pt.Coords)
-	byOwner := map[string][][]int64{}
-	for radius := 0; radius <= rt.l2; radius++ {
-		index.RingCells(center, radius, func(c []int64) {
-			cc := append([]int64(nil), c...)
-			o := topo.Owner(cc)
-			byOwner[o] = append(byOwner[o], cc)
-		})
-	}
+	byOwner := cellsByOwner(topo, rt.l2, topo.CellOf(pt.Coords))
 	owners := make([]string, 0, len(byOwner))
 	for o := range byOwner {
 		owners = append(owners, o)
@@ -816,6 +813,21 @@ func (rt *Router) scoreOne(ctx context.Context, pt geom.Point) scoreLine {
 		total = rt.cfg.K
 	}
 	return scoreLine{ID: pt.ID, Neighbors: total, Outlier: total < rt.cfg.K}
+}
+
+// cellsByOwner groups the cells of the L2 neighbourhood around center by
+// owner, looking each cell's owner up on its own — the per-cell reference
+// that neighbourhood's block-granular resolution must reproduce.
+func cellsByOwner(topo *Topology, l2 int, center []int64) map[string][][]int64 {
+	byOwner := map[string][][]int64{}
+	for radius := 0; radius <= l2; radius++ {
+		index.RingCells(center, radius, func(c []int64) {
+			cc := append([]int64(nil), c...)
+			o := topo.Owner(cc)
+			byOwner[o] = append(byOwner[o], cc)
+		})
+	}
+	return byOwner
 }
 
 // writeNDJSON streams n lines through one buffered encoder.

@@ -65,7 +65,7 @@ type SupportHeader struct {
 }
 
 // SupportResponse answers a support call with the neighbor count found in
-// the requested cells. Multi-probe bodies (EncodeSupportBatch) are answered
+// the requested cells. Multi-probe bodies (supportBatch) are answered
 // with one count per probe in Counts, probe order, alongside the summed
 // Count. A run probe also answers its victims' coordinates in Victims, in
 // victim order.

@@ -12,7 +12,7 @@ import (
 // in two waves of one RPC per shard: a read-only run probe on /v1/support
 // (EncodeRunProbe) and a seq-ordered run script on /v1/shard/ingest_batch
 // (EncodeRun). Scoring sends one multi-probe /v1/support body per owning
-// shard (EncodeSupportBatch). Frame kinds and sealing are shared with the
+// shard (supportBatch). Frame kinds and sealing are shared with the
 // per-point protocol.
 
 // PathShardIngestBatch applies one shard's script of a run in one
@@ -48,17 +48,20 @@ type IngestBatchResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// EncodeSupportBatch builds a sealed multi-probe support body: the header,
-// then one (point, cells) frame pair per probe, paired by order. A
-// single-probe body is byte-compatible with EncodeSupport.
-func EncodeSupportBatch(hdr SupportHeader, probes []SupportProbe) []byte {
-	body := appendJSONHeader(nil, hdr)
-	for _, pr := range probes {
-		body = codec.AppendFrame(body, framePoint, codec.AppendPoint(nil, pr.Point))
-		body = appendCells(body, pr.Point.Dim(), pr.Cells)
-	}
-	return codec.AppendSumFrame(body)
+// supportBatch builds a sealed multi-probe support body one probe at a
+// time, so no probe's cells need outlive its encoding: the header, then
+// one (point, cells) frame pair per probe, paired by order. A single-probe
+// body is byte-compatible with EncodeSupport.
+type supportBatch []byte
+
+func newSupportBatch(hdr SupportHeader) supportBatch { return appendJSONHeader(nil, hdr) }
+
+func (b *supportBatch) add(p geom.Point, cells [][]int64) {
+	*b = codec.AppendFrame(*b, framePoint, codec.AppendPoint(nil, p))
+	*b = appendCells(*b, p.Dim(), cells)
 }
+
+func (b supportBatch) seal() []byte { return codec.AppendSumFrame(b) }
 
 // EncodeRunProbe builds a sealed run probe for /v1/support: a header with
 // Run set, then the probe's entries in run order (see ShardWindow.ProbeRun).
